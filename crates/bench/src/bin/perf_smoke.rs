@@ -2,10 +2,10 @@
 //!
 //! Four measurements on the paper's full 256-core MemPool geometry:
 //!
-//! 1. **Event-driven vs reference** on the mostly-sleeping Colibri queue
-//!    (every core contending on one LRSCwait-owned queue, so at any
-//!    instant almost the whole machine is asleep in hardware wait
-//!    queues): verifies bit-identical results and measures the O(events)
+//! 1. **Fast vs reference** on the mostly-sleeping Colibri queue (every
+//!    core contending on one LRSCwait-owned queue, so at any instant
+//!    almost the whole machine is asleep in hardware wait queues):
+//!    verifies bit-identical results and measures the O(events)
 //!    scheduler's wall-clock speedup.
 //! 2. **Sharded vs single-sharded** on the same queue scenario: verifies
 //!    the bank-sharded worker pool is bit-identical too, and reports its
@@ -18,18 +18,15 @@
 //!    recorded in `BENCH_sim.json`; by default it is only enforced when
 //!    the host actually has `>= shards` CPUs (a single-CPU container
 //!    cannot demonstrate parallel speedup, and dev hosts vary).
-//! 4. **Translated vs event-driven**, single-threaded, on three
-//!    scenarios: the superblock micro-op fast path must be bit-identical
-//!    everywhere and, on the busy-loop histogram (the 1024-bin kernel
-//!    with 64 LCG compute rounds per update — every core grinding
-//!    through straight-line and branchy compute between memory ops),
-//!    must clear a **3x** single-thread throughput bar over the
-//!    event-driven interpreter (`translated_busy_speedup` in
+//! 4. **Fast vs reference**, single-threaded, on the busy-loop
+//!    histogram (the 1024-bin kernel with 64 LCG compute rounds per
+//!    update — every core grinding through straight-line and branchy
+//!    compute between memory ops, so nearly every core is runnable and
+//!    the gain is the superblock fast path's, not the scheduler's): the
+//!    runs must be bit-identical and Fast must clear a **3.5x**
+//!    single-thread throughput bar (`fast_busy_speedup` in
 //!    `BENCH_sim.json`; enforced unless `--quick`, which is
-//!    wall-clock-noise dominated). The contended zero-compute histogram
-//!    and the queue speedups are informational: the former is NoC-service
-//!    dominated, and a mostly-asleep machine executes too few
-//!    instructions for translation to matter.
+//!    wall-clock-noise dominated).
 //!
 //! Every speedup bar prints the detected host CPU count and an explicit
 //! `ENFORCED`/`SKIPPED`/`informational` decision, so a CI log always
@@ -54,7 +51,7 @@ use lrscwait_bench::{
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel, QueueImpl, QueueKernel};
-use lrscwait_sim::{ExecMode, SimConfig};
+use lrscwait_sim::SimConfig;
 
 /// Shard count exercised by the parallel smoke.
 const SHARDS: usize = 4;
@@ -92,13 +89,10 @@ fn run() -> Result<(), BenchError> {
         .build()?;
     let kernel = QueueKernel::new(QueueImpl::LrscWaitDirect, iters, cores);
 
-    // 1. Event-driven vs reference on the mostly-sleeping queue.
+    // 1. Fast vs reference on the mostly-sleeping queue.
     eprintln!("perf_smoke: {cores}-core Colibri queue, {iters} iterations/core");
-    let fast = Experiment::new(&kernel, cfg)
-        .label("event-driven")
-        .x(cores)
-        .run()?;
-    report("event-driven", &fast);
+    let fast = Experiment::new(&kernel, cfg).label("fast").x(cores).run()?;
+    report("fast        ", &fast);
     let reference = Experiment::new(&kernel, cfg)
         .label("reference")
         .x(cores)
@@ -108,14 +102,11 @@ fn run() -> Result<(), BenchError> {
 
     check_claim(
         fast.cycles == reference.cycles && fast.stats == reference.stats,
-        "event-driven and reference runs must be bit-identical",
+        "fast and reference runs must be bit-identical",
     )?;
 
-    let event_speedup = speedup(&reference, &fast);
-    println!(
-        "perf_smoke: event-driven vs reference on mostly-sleeping {cores} cores: \
-         {event_speedup:.1}x"
-    );
+    let fast_speedup = speedup(&reference, &fast);
+    println!("perf_smoke: fast vs reference on mostly-sleeping {cores} cores: {fast_speedup:.1}x");
 
     // 2. Sharded worker pool on the same mostly-sleeping scenario:
     // bit-identity is the hard requirement, throughput is informational
@@ -182,15 +173,10 @@ fn run() -> Result<(), BenchError> {
          {busy_sharded_speedup:.2}x (host has {parallelism} CPUs)"
     );
 
-    // 4. Translated superblock stepper vs the event-driven interpreter,
-    // single-threaded. Bit-identity is the hard requirement everywhere;
-    // the busy-loop histogram — the same 1024-bin AmoAdd kernel with 64
-    // LCG mixing rounds of straight-line compute per update, so every
-    // core grinds long superblocks between memory boundaries — is where
-    // the fast path must also pay off in throughput. (The contended
-    // zero-compute histogram above is NoC-service dominated: interpreter
-    // dispatch is a minority of its per-cycle cost, so it measures the
-    // memory system, not the stepper.)
+    // 4. Fast vs reference, single-threaded, on the busy-loop histogram:
+    // the same 1024-bin AmoAdd kernel with 64 LCG mixing rounds of
+    // straight-line compute per update, so every core grinds long
+    // superblocks between memory boundaries and almost none is parked.
     let loop_iters = if args.quick { 16 } else { 128 };
     let loop_kernel =
         HistogramKernel::new(HistImpl::AmoAdd, 1024, loop_iters, cores).with_compute(64);
@@ -198,58 +184,25 @@ fn run() -> Result<(), BenchError> {
         "perf_smoke: busy-loop scenario: {cores}-core 1024-bin histogram, \
          {loop_iters} iters x 64 compute rounds"
     );
-    let loop_event = Experiment::new(&loop_kernel, busy_cfg(1)?)
-        .label("busy-loop event-driven")
+    let loop_fast = Experiment::new(&loop_kernel, busy_cfg(1)?)
+        .label("busy-loop fast")
         .x(cores)
         .run()?;
-    report("busy-loop event-driven", &loop_event);
-    let loop_translated = Experiment::new(&loop_kernel, busy_cfg(1)?)
-        .label("busy-loop translated")
+    report("busy-loop fast", &loop_fast);
+    let loop_reference = Experiment::new(&loop_kernel, busy_cfg(1)?)
+        .label("busy-loop reference")
         .x(cores)
-        .exec(ExecMode::Translated)
+        .reference()
         .run()?;
-    report("busy-loop translated", &loop_translated);
+    report("busy-loop reference", &loop_reference);
     check_claim(
-        loop_event.cycles == loop_translated.cycles && loop_event.stats == loop_translated.stats,
-        "translated and event-driven busy-loop runs must be bit-identical",
+        loop_fast.cycles == loop_reference.cycles && loop_fast.stats == loop_reference.stats,
+        "fast and reference busy-loop runs must be bit-identical",
     )?;
-    let translated_busy_speedup = speedup(&loop_event, &loop_translated);
+    let fast_busy_speedup = speedup(&loop_reference, &loop_fast);
     println!(
-        "perf_smoke: translated vs event-driven on busy-loop {cores} cores: \
-         {translated_busy_speedup:.2}x (single-threaded)"
-    );
-    // The contended histogram stays in the matrix as a bit-identity
-    // check (its speedup is informational — see above).
-    let busy_translated = Experiment::new(&busy_kernel, busy_cfg(1)?)
-        .label("busy translated")
-        .x(cores)
-        .exec(ExecMode::Translated)
-        .run()?;
-    report("busy translated", &busy_translated);
-    check_claim(
-        busy_single.cycles == busy_translated.cycles && busy_single.stats == busy_translated.stats,
-        "translated and event-driven busy runs must be bit-identical",
-    )?;
-    let translated_contended_speedup = speedup(&busy_single, &busy_translated);
-    println!(
-        "perf_smoke: translated vs event-driven on contended busy {cores} cores: \
-         {translated_contended_speedup:.2}x — informational (NoC-service dominated)"
-    );
-
-    let queue_translated = Experiment::new(&kernel, cfg)
-        .label("queue translated")
-        .x(cores)
-        .exec(ExecMode::Translated)
-        .run()?;
-    report("queue translated", &queue_translated);
-    check_claim(
-        fast.cycles == queue_translated.cycles && fast.stats == queue_translated.stats,
-        "translated and event-driven queue runs must be bit-identical",
-    )?;
-    let translated_queue_speedup = speedup(&fast, &queue_translated);
-    println!(
-        "perf_smoke: translated vs event-driven on mostly-sleeping {cores} cores: \
-         {translated_queue_speedup:.2}x — informational (almost no instructions execute)"
+        "perf_smoke: fast vs reference on busy-loop {cores} cores: \
+         {fast_busy_speedup:.2}x (single-threaded)"
     );
 
     // 5. Phase-profiler overhead on the headline queue scenario: the
@@ -328,7 +281,7 @@ fn run() -> Result<(), BenchError> {
             "reference_sim_cycles_per_sec",
             reference.sim_cycles_per_sec(),
         )
-        .with("speedup_vs_reference", event_speedup)
+        .with("speedup_vs_reference", fast_speedup)
         .with("host_parallelism", parallelism as f64)
         .with("sharded_queue_speedup", queue_sharded_speedup)
         .with("sharded_busy_speedup", busy_sharded_speedup)
@@ -336,12 +289,10 @@ fn run() -> Result<(), BenchError> {
             "sharded_busy_sim_cycles_per_sec",
             busy_sharded.sim_cycles_per_sec(),
         )
-        .with("translated_busy_speedup", translated_busy_speedup)
-        .with("translated_contended_speedup", translated_contended_speedup)
-        .with("translated_queue_speedup", translated_queue_speedup)
+        .with("fast_busy_speedup", fast_busy_speedup)
         .with(
-            "translated_busy_sim_cycles_per_sec",
-            loop_translated.sim_cycles_per_sec(),
+            "fast_busy_sim_cycles_per_sec",
+            loop_fast.sim_cycles_per_sec(),
         )
         .with("sharded_busy_bar", busy_bar)
         .with(
@@ -356,7 +307,7 @@ fn run() -> Result<(), BenchError> {
         .with("profile_sampled_cycles", busy_profile.sampled_cycles as f64)
         .with_meta("shards", SHARDS.to_string())
         .with_meta("cores", cores.to_string())
-        .with_meta("exec_modes", "event-driven, reference, translated");
+        .with_meta("exec_modes", "fast, reference");
     // Per-phase breakdown and worker utilization from the profiled
     // sharded busy run, in the same artifact CI uploads.
     for stat in &busy_profile.phases {
@@ -377,22 +328,19 @@ fn run() -> Result<(), BenchError> {
     )?;
 
     if !args.quick {
-        // The acceptance bar: the event-driven scheduler must be at least
-        // 5x faster on the mostly-sleeping large-geometry scenario.
+        // The acceptance bar: fast mode must be at least 5x faster than
+        // the reference on the mostly-sleeping large-geometry scenario.
         // (--quick skips this: tiny runs are wall-clock-noise-dominated.)
         check_claim(
-            event_speedup >= 5.0,
-            format!("event-driven speedup {event_speedup:.1}x below the 5x acceptance bar"),
+            fast_speedup >= 5.0,
+            format!("fast speedup {fast_speedup:.1}x below the 5x acceptance bar"),
         )?;
-        // And the translated stepper must be at least 3x faster than the
-        // event-driven interpreter on the busy-loop single-thread
-        // scenario.
+        // And at least 3.5x faster on the busy-loop single-thread
+        // scenario (ten runs on a 2-vCPU Xeon KVM host measured
+        // 3.99x-5.12x, median 4.5x).
         check_claim(
-            translated_busy_speedup >= 3.0,
-            format!(
-                "translated busy speedup {translated_busy_speedup:.2}x below the 3x \
-                 acceptance bar"
-            ),
+            fast_busy_speedup >= 3.5,
+            format!("fast busy-loop speedup {fast_busy_speedup:.2}x below the 3.5x acceptance bar"),
         )?;
         // And the sampled phase profiler must cost at most 5% of
         // wall-clock throughput on the same headline scenario.

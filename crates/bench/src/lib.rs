@@ -11,7 +11,7 @@
 //! | `fig6` | Fig. 6 — queue throughput vs. core count |
 //! | `table2` | Table II — power and energy per operation |
 //! | `ablation` | Reservation-capacity ablation |
-//! | `perf_smoke` | Simulator-performance smoke: event-driven and translated speedups |
+//! | `perf_smoke` | Simulator-performance smoke: fast-vs-reference and sharded speedups |
 //! | `trace` | Perfetto trace + synchronization analysis for any kernel × arch pair |
 //!
 //! Every binary accepts `--quick` (reduced sweep), `--threads N` (sweep
@@ -60,10 +60,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use lrscwait_asm::Program;
-use lrscwait_core::SyncArch;
-use lrscwait_kernels::{
-    HistImpl, HistogramKernel, MatmulKernel, QueueKernel, VerifyError, Workload,
-};
+use lrscwait_kernels::{VerifyError, Workload};
 use lrscwait_sim::{
     ConfigError, DecodedProgram, ExecMode, ExitReason, Machine, PhaseProfile, ProfilerConfig,
     RunSummary, SimConfig, SimError, SimStats, NUM_ARGS,
@@ -392,22 +389,13 @@ impl<'w> Experiment<'w> {
         self
     }
 
-    /// Runs on the naive reference stepper instead of the event-driven
-    /// scheduler (differential testing and performance baselining; results
+    /// Runs on the naive reference stepper instead of the default fast
+    /// mode (differential testing and performance baselining; results
     /// are bit-identical, only slower to produce). Equivalent to building
     /// the config with `SimConfig::builder().exec_mode(ExecMode::Reference)`.
     #[must_use]
     pub fn reference(mut self) -> Experiment<'w> {
         self.cfg.exec_mode = ExecMode::Reference;
-        self
-    }
-
-    /// Overrides the execution mode (see [`ExecMode`]; results are
-    /// bit-identical across all modes, only the host-side speed differs).
-    /// The figure binaries route `--exec` through this.
-    #[must_use]
-    pub fn exec(mut self, mode: ExecMode) -> Experiment<'w> {
-        self.cfg.exec_mode = mode;
         self
     }
 
@@ -889,7 +877,7 @@ pub struct PerfSummary {
     pub total_sim_cycles: u64,
     /// Total host wall-clock seconds spent inside `Machine::run`.
     pub total_host_seconds: f64,
-    /// Extra named figures to include in the JSON (e.g. the event-driven
+    /// Extra named figures to include in the JSON (e.g. the fast-mode
     /// vs. reference speedup measured by `perf_smoke`).
     pub extra: Vec<(String, f64)>,
     /// Named string metadata for the JSON (host CPU count, git revision,
@@ -1342,28 +1330,15 @@ pub fn check_claim(condition: bool, message: impl Into<String>) -> Result<(), Be
     }
 }
 
-/// Standard mapping of a figure legend entry to (kernel impl, architecture).
-#[must_use]
-pub fn arch_for(impl_: HistImpl, colibri_queues: usize) -> SyncArch {
-    match impl_ {
-        HistImpl::AmoAdd | HistImpl::Lrsc | HistImpl::TicketLock | HistImpl::TasLock => {
-            SyncArch::Lrsc
-        }
-        HistImpl::LrscWait | HistImpl::ColibriLock | HistImpl::McsMwaitLock => SyncArch::Colibri {
-            queues: colibri_queues,
-        },
-    }
-}
-
 /// Usage text shared by every figure binary.
 pub const USAGE: &str = "\
 usage: <figure binary> [--quick] [--threads N] [--out DIR] [--baseline FILE] [--trace]
                        [--enforce-sharded] [--exec MODE]
   --quick          reduced sweep for CI / smoke testing
   --threads N      sweep worker threads (default: all cores, min 2)
-  --exec MODE      execution mode for every experiment: event (default),
-                   reference, or translated — results are bit-identical,
-                   only simulator speed differs
+  --exec MODE      execution mode for every experiment: fast (default) or
+                   reference — results are bit-identical, only simulator
+                   speed differs
   --out DIR        results directory (default: results)
   --baseline FILE  committed BENCH_sim.json to guard simulator throughput
                    against (fails when more than 2x slower; perf_smoke)
@@ -1405,7 +1380,7 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--exec",
         "MODE",
-        "execution mode: event (default), reference, or translated",
+        "execution mode: fast (default) or reference",
     ),
     ("--out", "DIR", "results directory (default: results)"),
     (
@@ -1521,7 +1496,7 @@ pub struct BenchArgs {
     /// reset.
     pub resume: Option<PathBuf>,
     /// Execution-mode override for every experiment the binary runs
-    /// (`None`: keep each config's own mode, normally event-driven).
+    /// (`None`: keep each config's own mode, normally fast).
     pub exec: Option<ExecMode>,
     /// Enable the host-side phase profiler on every experiment and write
     /// the `<fig>.profile.json` / `.prom` artifacts.
@@ -1613,13 +1588,12 @@ impl BenchArgs {
                         BenchError::Usage(format!("--exec needs a mode\n{USAGE}"))
                     })?;
                     parsed.exec = Some(match value.as_str() {
-                        "event" => ExecMode::EventDriven,
+                        "fast" => ExecMode::Fast,
                         "reference" => ExecMode::Reference,
-                        "translated" => ExecMode::Translated,
                         other => {
                             return Err(BenchError::Usage(format!(
                                 "--exec: unknown mode `{other}` \
-                                 (expected event, reference or translated)\n{USAGE}"
+                                 (expected fast or reference)\n{USAGE}"
                             )));
                         }
                     });
@@ -1878,79 +1852,13 @@ pub fn fmt_tp(v: f64) -> String {
     format!("{v:.4}")
 }
 
-/// Runs a histogram configuration and returns the measurement.
-///
-/// # Panics
-///
-/// Panics when the experiment fails in any way.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Experiment::new(&HistogramKernel, cfg)` instead"
-)]
-#[must_use]
-pub fn run_histogram(
-    _arch: SyncArch,
-    impl_: HistImpl,
-    bins: u32,
-    iters: u32,
-    cfg: SimConfig,
-) -> Measurement {
-    let num_cores = cfg.topology.num_cores as u32;
-    let kernel = HistogramKernel::new(impl_, bins, iters, num_cores);
-    Experiment::new(&kernel, cfg)
-        .x(bins)
-        .run()
-        .expect("histogram benchmark must complete")
-}
-
-/// Runs a queue configuration with `active` participating cores.
-///
-/// # Panics
-///
-/// Panics when the experiment fails in any way.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Experiment::new(&QueueKernel, cfg)` instead"
-)]
-#[must_use]
-pub fn run_queue(
-    _arch: SyncArch,
-    impl_: lrscwait_kernels::QueueImpl,
-    active: u32,
-    iters: u32,
-    cfg: SimConfig,
-) -> Measurement {
-    let kernel = QueueKernel::new(impl_, iters, active);
-    Experiment::new(&kernel, cfg)
-        .x(active)
-        .run()
-        .expect("queue benchmark must complete")
-}
-
-/// Worker region cycles (max across workers) of a matmul run.
-///
-/// # Panics
-///
-/// Panics when the experiment fails in any way.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Experiment::new(&MatmulKernel, cfg)` instead"
-)]
-#[must_use]
-pub fn run_matmul(kernel: &MatmulKernel, _arch: SyncArch, cfg: SimConfig) -> (u64, SimStats) {
-    let m = Experiment::new(kernel, cfg)
-        .run()
-        .expect("matmul benchmark must complete");
-    let cycles = m
-        .max_region_cycles(0..kernel.workers as usize)
-        .expect("every worker measured a region");
-    (cycles, m.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrscwait_kernels::{PollerKind, QueueImpl};
+    use lrscwait_core::SyncArch;
+    use lrscwait_kernels::{
+        HistImpl, HistogramKernel, MatmulKernel, PollerKind, QueueImpl, QueueKernel,
+    };
 
     #[test]
     fn histogram_experiment_small() {
@@ -2012,15 +1920,6 @@ mod tests {
         let kernel = HistogramKernel::new(HistImpl::AmoAdd, 8, 64, 4);
         let err = Experiment::new(&kernel, cfg).run().unwrap_err();
         assert!(matches!(err, BenchError::Watchdog { .. }), "{err}");
-    }
-
-    #[test]
-    fn arch_mapping() {
-        assert_eq!(arch_for(HistImpl::AmoAdd, 4), SyncArch::Lrsc);
-        assert_eq!(
-            arch_for(HistImpl::McsMwaitLock, 4),
-            SyncArch::Colibri { queues: 4 }
-        );
     }
 
     #[test]
@@ -2233,7 +2132,7 @@ mod tests {
                 "--resume",
                 "prev.snap",
                 "--exec",
-                "translated",
+                "reference",
             ]
             .map(String::from),
         )
@@ -2246,16 +2145,23 @@ mod tests {
         assert!(args.enforce_sharded);
         assert_eq!(args.checkpoint, Some(PathBuf::from("ckpt.snap")));
         assert_eq!(args.resume, Some(PathBuf::from("prev.snap")));
-        assert_eq!(args.exec, Some(ExecMode::Translated));
+        assert_eq!(args.exec, Some(ExecMode::Reference));
         assert!(BenchArgs::parse(["--checkpoint".to_string()]).is_err());
         assert!(BenchArgs::parse(["--resume".to_string()]).is_err());
         assert!(BenchArgs::parse(["--exec".to_string()]).is_err());
-        assert!(BenchArgs::parse(["--exec", "jit"].map(String::from)).is_err());
-        for (name, mode) in [
-            ("event", ExecMode::EventDriven),
-            ("reference", ExecMode::Reference),
-            ("translated", ExecMode::Translated),
-        ] {
+        // Retired and unknown mode names are typed usage errors that list
+        // the valid modes.
+        for name in ["jit", "event", "translated"] {
+            match BenchArgs::parse(["--exec", name].map(String::from)) {
+                Err(BenchError::Usage(msg)) => assert!(
+                    msg.contains(&format!("unknown mode `{name}`"))
+                        && msg.contains("expected fast or reference"),
+                    "{msg}"
+                ),
+                other => panic!("--exec {name}: expected a usage error, got {other:?}"),
+            }
+        }
+        for (name, mode) in [("fast", ExecMode::Fast), ("reference", ExecMode::Reference)] {
             let args = BenchArgs::parse(["--exec", name].map(String::from)).unwrap();
             assert_eq!(args.exec, Some(mode));
             let cfg = args.configure(SimConfig::builder().cores(2).build().unwrap());
@@ -2309,12 +2215,14 @@ mod tests {
             .unwrap();
         let kernel = HistogramKernel::new(HistImpl::LrscWait, 2, 8, 4);
         let fast = Experiment::new(&kernel, cfg).x(2).run().unwrap();
-        for mode in [ExecMode::Reference, ExecMode::Translated] {
-            let other = Experiment::new(&kernel, cfg).x(2).exec(mode).run().unwrap();
-            assert_eq!(fast.cycles, other.cycles, "{mode:?}");
-            assert_eq!(fast.stats, other.stats, "{mode:?}");
-            assert_eq!(fast.csv_row(), other.csv_row(), "{mode:?}");
-        }
+        let reference = Experiment::new(&kernel, cfg)
+            .x(2)
+            .reference()
+            .run()
+            .unwrap();
+        assert_eq!(fast.cycles, reference.cycles);
+        assert_eq!(fast.stats, reference.stats);
+        assert_eq!(fast.csv_row(), reference.csv_row());
     }
 
     #[test]
@@ -2381,7 +2289,7 @@ mod tests {
             total_sim_cycles: 1_000_000,
             total_host_seconds: 0.5,
             extra: vec![("speedup_vs_reference".to_string(), 7.25)],
-            meta: vec![("exec_mode".to_string(), "event-driven".to_string())],
+            meta: vec![("exec_mode".to_string(), "fast".to_string())],
         };
         assert!((summary.sim_cycles_per_sec() - 2.0e6).abs() < 1e-9);
         let path = write_bench_json(&dir, &summary).unwrap();

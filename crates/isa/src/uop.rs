@@ -1,6 +1,6 @@
 //! Micro-op forms for the translated fast path.
 //!
-//! `lrscwait-sim`'s `ExecMode::Translated` pre-lowers each decoded
+//! `lrscwait-sim`'s `ExecMode::Fast` pre-lowers each decoded
 //! instruction into one [`MicroOp`] — a resolved, execution-ready form in
 //! which PC-relative arithmetic (`auipc`, `jal`/branch targets, link
 //! values) has been folded into constants and control-flow targets have

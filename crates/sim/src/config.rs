@@ -48,47 +48,35 @@ pub const NUM_ARGS: usize = 8;
 
 /// How the machine schedules core stepping.
 ///
-/// All three modes are cycle-accurate and produce bit-identical results —
-/// every cycle count, statistic, trace stream and benchmark CSV byte
-/// (proven continuously by the differential suites in
+/// Both modes are cycle-accurate and produce bit-identical results —
+/// every cycle count, statistic, trace stream, snapshot and benchmark
+/// CSV byte (proven continuously by the differential suites in
 /// `crates/sim/tests/differential.rs` and `tests/differential.rs`); they
 /// differ only in simulation cost. Selected per run through
-/// [`SimConfigBuilder::exec_mode`]; any mode is valid with any
-/// workload or architecture, so the builder accepts all of them without
+/// [`SimConfigBuilder::exec_mode`]; either mode is valid with any
+/// workload or architecture, so the builder accepts both without
 /// further validation.
 ///
 /// | Mode | Scheduling | Instruction dispatch | Cost |
 /// |---|---|---|---|
+/// | `Fast` | sorted runnable set + fast-forward | superblock micro-ops, interpreter at boundaries | O(events) |
 /// | `Reference` | every core, every cycle | interpreter | O(cores × cycles) |
-/// | `EventDriven` | sorted runnable set + fast-forward | interpreter | O(events) |
-/// | `Translated` | sorted runnable set + fast-forward | superblock micro-ops, interpreter at boundaries | O(events), several-fold cheaper per busy instruction |
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Runnable-set scheduling with lazy parked-core accounting and (in
-    /// `Machine::run`) cycle fast-forwarding: O(events) — the default.
-    #[default]
-    EventDriven,
-    /// Naive stepper: every core visited every cycle with eager per-cycle
-    /// accounting — O(cores × cycles). Kept as the differential-testing
-    /// ground truth and performance baseline.
-    Reference,
-    /// Event-driven scheduling plus a translated fast path: straight-line
-    /// runs of ALU/branch micro-ops (superblocks, see
+    /// Runnable-set scheduling with lazy parked-core accounting, cycle
+    /// fast-forwarding (in `Machine::run`) and superblock execution:
+    /// straight-line runs of ALU/branch micro-ops (see
     /// [`lrscwait_isa::MicroOp`]) execute as one tight loop charging the
     /// same per-instruction cycle accounting, re-entering the interpreter
     /// at every load/store/AMO/CSR/fence/ecall boundary where the NoC,
-    /// adapters, or timing model must observe the core.
-    Translated,
-}
-
-impl ExecMode {
-    /// Whether this mode uses the event-scheduled machinery (runnable
-    /// set, lazy parked accounting, fast-forward) rather than the naive
-    /// every-core-every-cycle reference walk.
-    #[must_use]
-    pub fn event_scheduled(self) -> bool {
-        !matches!(self, ExecMode::Reference)
-    }
+    /// adapters, or timing model must observe the core. The default.
+    #[default]
+    Fast,
+    /// Naive stepper: every core visited every cycle with eager per-cycle
+    /// accounting and one interpreted instruction per visit —
+    /// O(cores × cycles). Kept as the differential-testing ground truth
+    /// and performance baseline.
+    Reference,
 }
 
 /// Core pipeline timing knobs (Snitch-like single-issue in-order core).
@@ -298,7 +286,7 @@ impl SimConfig {
     ///
     /// let cfg = SimConfig::builder().cores(8).build().unwrap();
     /// assert_eq!(cfg.topology.num_cores, 8);
-    /// assert_eq!(cfg.exec_mode, ExecMode::EventDriven);
+    /// assert_eq!(cfg.exec_mode, ExecMode::Fast);
     /// // Validation happens at build(): more shards than cores is rejected.
     /// assert!(SimConfig::builder().cores(4).shards(64).build().is_err());
     /// ```
@@ -317,7 +305,7 @@ impl SimConfig {
             timing: CoreTiming::default(),
             max_cycles: 10_000_000,
             args: [0; NUM_ARGS],
-            exec_mode: ExecMode::EventDriven,
+            exec_mode: ExecMode::Fast,
             shards: 1,
             chaos: None,
         }
@@ -333,25 +321,10 @@ impl SimConfig {
             timing: CoreTiming::default(),
             max_cycles: 2_000_000,
             args: [0; NUM_ARGS],
-            exec_mode: ExecMode::EventDriven,
+            exec_mode: ExecMode::Fast,
             shards: 1,
             chaos: None,
         }
-    }
-
-    /// Sets argument `i` (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= NUM_ARGS`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SimConfig::builder().arg(i, value)` instead"
-    )]
-    #[must_use]
-    pub fn with_arg(mut self, i: usize, value: u32) -> SimConfig {
-        self.args[i] = value;
-        self
     }
 
     /// Words per bank given the geometry.
@@ -481,7 +454,7 @@ impl SimConfigBuilder {
             timing: CoreTiming::default(),
             max_cycles: 2_000_000,
             args: Vec::new(),
-            exec_mode: ExecMode::EventDriven,
+            exec_mode: ExecMode::Fast,
             shards: 1,
             chaos: None,
         }
@@ -568,12 +541,11 @@ impl SimConfigBuilder {
 
     /// Selects how the machine schedules core stepping.
     ///
-    /// [`ExecMode::EventDriven`] (the default) is the O(events)
-    /// runnable-set scheduler; [`ExecMode::Translated`] adds the
-    /// superblock micro-op fast path on top of it (fastest for busy
-    /// workloads); [`ExecMode::Reference`] is the naive
-    /// O(cores × cycles) ground-truth stepper. Results are bit-identical
-    /// in every mode — pick `Reference` only for differential testing or
+    /// [`ExecMode::Fast`] (the default) is the O(events) runnable-set
+    /// scheduler with the superblock micro-op fast path;
+    /// [`ExecMode::Reference`] is the naive O(cores × cycles)
+    /// ground-truth stepper. Results are bit-identical in both modes —
+    /// pick `Reference` only for differential testing or
     /// simulator-performance baselining:
     ///
     /// ```
@@ -582,10 +554,9 @@ impl SimConfigBuilder {
     /// # fn main() -> Result<(), lrscwait_sim::ConfigError> {
     /// let cfg = SimConfig::builder()
     ///     .cores(4)
-    ///     .exec_mode(ExecMode::Translated)
+    ///     .exec_mode(ExecMode::Reference)
     ///     .build()?;
-    /// assert_eq!(cfg.exec_mode, ExecMode::Translated);
-    /// assert!(cfg.exec_mode.event_scheduled());
+    /// assert_eq!(cfg.exec_mode, ExecMode::Reference);
     /// # Ok(())
     /// # }
     /// ```
@@ -750,30 +721,39 @@ mod tests {
     }
 
     #[test]
-    fn builder_exec_mode_defaults_to_event_driven() {
+    fn builder_exec_mode_defaults_to_fast() {
         let cfg = SimConfig::builder().cores(2).build().unwrap();
-        assert_eq!(cfg.exec_mode, ExecMode::EventDriven);
+        assert_eq!(cfg.exec_mode, ExecMode::Fast);
         let cfg = SimConfig::builder()
             .cores(2)
             .exec_mode(ExecMode::Reference)
             .build()
             .unwrap();
         assert_eq!(cfg.exec_mode, ExecMode::Reference);
-        let cfg = SimConfig::builder()
+        assert_eq!(SimConfig::mempool(SyncArch::Lrsc).exec_mode, ExecMode::Fast);
+        assert_eq!(
+            SimConfig::small(2, SyncArch::Lrsc).exec_mode,
+            ExecMode::Fast
+        );
+        // A default-built machine carries the superblock translation;
+        // only Reference runs without one.
+        let program = lrscwait_asm::Assembler::new()
+            .assemble("_start:\n    ecall\n")
+            .unwrap();
+        let fast = SimConfig::builder().cores(2).build().unwrap();
+        assert!(crate::Machine::new(fast, &program)
+            .unwrap()
+            .translation()
+            .is_some());
+        let reference = SimConfig::builder()
             .cores(2)
-            .exec_mode(ExecMode::Translated)
+            .exec_mode(ExecMode::Reference)
             .build()
             .unwrap();
-        assert_eq!(cfg.exec_mode, ExecMode::Translated);
-        // The translated path rides on the event-scheduled machinery;
-        // only Reference walks every core every cycle.
-        assert!(ExecMode::EventDriven.event_scheduled());
-        assert!(ExecMode::Translated.event_scheduled());
-        assert!(!ExecMode::Reference.event_scheduled());
-        assert_eq!(
-            SimConfig::mempool(SyncArch::Lrsc).exec_mode,
-            ExecMode::EventDriven
-        );
+        assert!(crate::Machine::new(reference, &program)
+            .unwrap()
+            .translation()
+            .is_none());
     }
 
     #[test]

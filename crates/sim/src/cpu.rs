@@ -55,7 +55,7 @@ pub struct DecodedProgram {
     pub bss_base: u32,
     /// Size in bytes of the zero-initialized segment.
     pub bss_size: u32,
-    /// Lazily-built superblock translation for `ExecMode::Translated`
+    /// Lazily-built superblock translation for `ExecMode::Fast`
     /// (see [`Translation`]). Built at most once per program image and
     /// shared by every machine (and every snapshot restore) holding this
     /// `DecodedProgram` — sweeps that share the image behind an `Arc`
@@ -232,12 +232,13 @@ pub struct Core {
     pub state: CoreState,
     /// Earliest cycle the next instruction may issue.
     pub ready_at: u64,
-    /// Last cycle the translated fast path has already charged into
+    /// Last cycle the superblock fast path has already charged into
     /// `stats` for this core (superblocks run ahead of the machine
     /// clock; per-cycle visits before this point must not double-count
-    /// stalls, and `fast_forward` must not re-credit them). Always `0`
-    /// outside `ExecMode::Translated`; transient simulation state, never
-    /// serialized — snapshots reset it on restore.
+    /// stalls, and `fast_forward` must not re-credit them). Only
+    /// `ExecMode::Fast` runs superblocks, so the reference stepper leaves
+    /// it at `0`; transient simulation state, never serialized —
+    /// snapshots reset it on restore.
     pub charged_until: u64,
     /// Cycle at which the core last entered `WaitingMem` or `Barrier`
     /// (event-driven lazy accounting: the sleep/barrier cycle total is

@@ -35,9 +35,9 @@
 //! stays on the coordinating thread.
 //!
 //! **Determinism contract:** results are bit-identical for *any* shard
-//! count (and all three [`ExecMode`]s — the differential and tracing
-//! suites enforce `shards=1` ≡ `shards=N` ≡ `Reference` ≡ `Translated`
-//! on summaries, statistics, CSV bytes and trace streams). Three rules
+//! count (and both [`ExecMode`]s — the differential and tracing suites
+//! enforce `shards=1` ≡ `shards=N` and `Reference` ≡ `Fast` on
+//! summaries, statistics, CSV bytes and trace streams). Three rules
 //! make this hold:
 //!
 //! * every cross-shard merge (dirty banks, dirty cores, runnable set,
@@ -52,12 +52,12 @@
 //!   cycles stay allocation-free (enforced by the counting-allocator
 //!   suite).
 //!
-//! # Event-driven scheduling
+//! # Fast mode: event-driven scheduling
 //!
 //! The paper's whole point is that LRSCwait cores *sleep* instead of
 //! polling, so in the interesting regimes almost every core is parked in a
 //! wait queue or at the barrier. The default execution mode
-//! ([`ExecMode::EventDriven`]) makes the simulator's cost track *events*
+//! ([`ExecMode::Fast`]) makes the simulator's cost track *events*
 //! instead of `cores × cycles`:
 //!
 //! * **Runnable set.** Phase 4 walks an always-sorted list of the cores in
@@ -69,9 +69,10 @@
 //!   [`Machine::stats`]) instead of one increment per parked cycle.
 //! * **Cycle fast-forwarding.** Between cycles, [`Machine::run`] asks both
 //!   networks for their [`next_ready_at`](Network::next_ready_at) and the
-//!   runnable cores for their earliest `ready_at`; when the next event is
-//!   more than one cycle away (and no outbox holds backpressured traffic),
-//!   the cycle counter jumps straight to it. Long all-asleep phases — the
+//!   runnable cores for their earliest `ready_at` (a core whose superblock
+//!   ran ahead is not ready until its run-ahead ends); when the next
+//!   event is more than one cycle away (and no outbox holds backpressured
+//!   traffic), the cycle counter jumps straight to it. Long all-asleep phases — the
 //!   common case under LRSCwait — cost O(events), and an all-parked
 //!   deadlock jumps directly to the watchdog.
 //! * **Allocation-free hot loops.** Every per-cycle scratch buffer
@@ -79,10 +80,10 @@
 //!   its merge scratch, the networks' scan sets, the per-shard scratches)
 //!   is reused; steady-state cycles perform zero heap allocations.
 //!
-//! # Translated fast path
+//! # Fast mode: superblock execution
 //!
-//! [`ExecMode::Translated`] keeps the event-driven scheduling and swaps
-//! the per-instruction interpreter dispatch for superblock execution:
+//! [`ExecMode::Fast`] also swaps the per-instruction interpreter
+//! dispatch for superblock execution:
 //! the program image is pre-lowered into micro-ops (once per
 //! [`DecodedProgram`], shared across machines and restores), and a
 //! runnable core executes a whole straight-line-plus-branches run in one
@@ -93,18 +94,18 @@
 //! loop's horizon (watchdog/target, so both stay cycle-exact); the
 //! cycles already charged are tracked in `Core::charged_until` so
 //! per-cycle visits and `fast_forward` never double-count. Internal
-//! micro-ops are trace-silent in every mode, so trace streams are
+//! micro-ops are trace-silent in both modes, so trace streams are
 //! unchanged.
 //!
 //! # Equivalence guarantee
 //!
-//! Event-driven and translated execution are *optimizations, not model
-//! changes*: cycle counts, every statistic, and therefore every
+//! Event-driven scheduling and superblock execution are *optimizations,
+//! not model changes*: cycle counts, every statistic, and therefore every
 //! benchmark CSV byte are identical to the naive reference stepper
 //! ([`ExecMode::Reference`]), which visits all cores every cycle with
 //! eager per-cycle accounting. The differential test suite
 //! (`crates/sim/tests/differential.rs` and the workspace-level
-//! `tests/differential.rs`) runs all three modes — and multiple shard
+//! `tests/differential.rs`) runs both modes — and multiple shard
 //! counts — across the kernel × architecture matrix and asserts
 //! bit-identical [`RunSummary`]/[`SimStats`] and byte-identical sweep
 //! CSVs. Barrier-release accounting is visit-order-free by construction:
@@ -328,15 +329,16 @@ pub struct Machine {
     core_scratch: Vec<u32>,
     merge_scratch: Vec<u32>,
     /// Superblock translation of the program image, built at
-    /// construction when `cfg.exec_mode == ExecMode::Translated` (kept
-    /// `None` otherwise) and shared with the `DecodedProgram`'s cache —
-    /// sweeps and snapshot restores reuse it, never rebuild it.
+    /// construction in [`ExecMode::Fast`] (`None` in
+    /// [`ExecMode::Reference`]; phase 4 dispatches on it) and shared with
+    /// the `DecodedProgram`'s cache — sweeps and snapshot restores reuse
+    /// it, never rebuild it.
     translation: Option<Arc<Translation>>,
     /// Cycle horizon superblocks may run ahead to. Set by
     /// [`Machine::run_until`] for the duration of the run loop (clamped
     /// to the watchdog and the target) and reset to 0 on exit, so direct
     /// [`Machine::step_cycle`] callers execute exactly one instruction
-    /// per core per visit in every mode.
+    /// per core per visit in both modes.
     step_limit: u64,
 }
 
@@ -430,7 +432,7 @@ impl Machine {
         // steady-state cycle stays allocation-free and sweep workers
         // sharing the image behind an `Arc` translate exactly once.
         let translation =
-            (cfg.exec_mode == ExecMode::Translated).then(|| Arc::clone(program.translation()));
+            (cfg.exec_mode == ExecMode::Fast).then(|| Arc::clone(program.translation()));
         let mut machine = Machine {
             topo,
             program: Arc::clone(&program),
@@ -495,7 +497,7 @@ impl Machine {
     }
 
     /// The superblock translation this machine executes with — `Some`
-    /// exactly in [`ExecMode::Translated`]. The `Arc` is shared with the
+    /// exactly in [`ExecMode::Fast`]. The `Arc` is shared with the
     /// program image's cache (`DecodedProgram::translation`), so two
     /// machines on the same image — or one machine across a
     /// [`Machine::restore`] — return pointer-identical translations.
@@ -714,7 +716,7 @@ impl Machine {
             adapters.wakeups += s.wakeups;
             adapters.reservations_broken += s.reservations_broken;
         }
-        let lazy = self.cfg.exec_mode.event_scheduled();
+        let lazy = self.cfg.exec_mode == ExecMode::Fast;
         SimStats {
             cores: self
                 .cores
@@ -746,12 +748,13 @@ impl Machine {
 
     /// Runs until every core halts or the watchdog fires.
     ///
-    /// In [`ExecMode::EventDriven`] mode, cycles in which provably nothing
-    /// can happen — every runnable core is pipeline-stalled, the outboxes
-    /// are drained, and no network flit becomes movable — are skipped by
-    /// jumping the cycle counter straight to the next event (or to the
-    /// watchdog limit, whichever comes first). Skipped stall cycles are
-    /// credited in bulk so statistics stay bit-identical to stepping.
+    /// In [`ExecMode::Fast`], cycles in which provably nothing can happen
+    /// — every runnable core is pipeline-stalled or has run ahead in a
+    /// superblock, the outboxes are drained, and no network flit becomes
+    /// movable — are skipped by jumping the cycle counter straight to the
+    /// next event (or to the watchdog limit, whichever comes first).
+    /// Skipped stall cycles are credited in bulk so statistics stay
+    /// bit-identical to stepping.
     ///
     /// # Errors
     ///
@@ -782,12 +785,11 @@ impl Machine {
     /// breakpoints, faults).
     pub fn run_until(&mut self, target: u64) -> Result<RunSummary, SimError> {
         // Open the superblock horizon for the duration of the run loop:
-        // the translated fast path may execute ahead of the cycle
-        // counter, but never past the watchdog or the stop target, so
-        // both stay cycle-exact. Reset on every exit so direct
-        // `step_cycle` callers get single-instruction horizons (and the
-        // per-cycle differential tests can compare all modes step by
-        // step).
+        // the fast path may execute ahead of the cycle counter, but never
+        // past the watchdog or the stop target, so both stay cycle-exact.
+        // Reset on every exit so direct `step_cycle` callers get
+        // single-instruction horizons (and the per-cycle differential
+        // tests can compare both modes step by step).
         self.step_limit = self.cfg.max_cycles.min(target);
         let wall_start = (!self.profiler.is_off()).then(std::time::Instant::now);
         let result = self.run_inner(target);
@@ -801,7 +803,7 @@ impl Machine {
 
     fn run_inner(&mut self, target: u64) -> Result<RunSummary, SimError> {
         while self.halted < self.cores.len() {
-            if self.cfg.exec_mode.event_scheduled() {
+            if self.cfg.exec_mode == ExecMode::Fast {
                 self.fast_forward(self.cfg.max_cycles.min(target));
             }
             if self.cycle >= self.cfg.max_cycles {
@@ -880,8 +882,7 @@ impl Machine {
             let c = self.runnable[i] as usize;
             // A superblock that ran ahead already charged this core's
             // stalls up to `charged_until`; only credit the cycles
-            // beyond it (always all of them outside Translated mode,
-            // where `charged_until` stays 0).
+            // beyond it.
             let from = now.max(self.cores[c].charged_until);
             if target > from {
                 self.cores[c].stats.stall_cycles += target - from;
@@ -1091,16 +1092,15 @@ impl Machine {
         self.resp_buf = resp_buf;
         clock.lap(Phase::RespDelivery);
 
-        // Phase 4: step the cores (event-driven: runnable set only;
-        // translated: runnable set + superblock fast path; reference:
-        // every core with eager parked accounting).
-        if self.cfg.exec_mode.event_scheduled() {
+        // Phase 4: step the cores (fast: runnable set + superblock run-
+        // ahead; reference: every core with eager parked accounting).
+        if self.cfg.exec_mode == ExecMode::Fast {
             self.merge_pending_wakes();
         }
         self.reset_scratch();
         // Superblocks may run ahead to the run loop's horizon; outside
         // `run`/`run_until` the horizon collapses to `now` (exactly one
-        // instruction per visit, like the interpreter modes).
+        // instruction per visit, like the reference stepper).
         let horizon = self.step_limit.max(now);
         let core_job = Job::Cores {
             cores: self.cores.as_mut_ptr(),
@@ -1115,13 +1115,11 @@ impl Machine {
             num_banks,
             now,
             horizon,
-            mode: self.cfg.exec_mode,
             tracing,
         };
         if let Some(pool) = &mut self.pool {
             pool.dispatch(core_job);
         } else {
-            let translation = self.translation.as_deref();
             let mut ctx = CorePhase {
                 core_lo: 0,
                 cores: &mut self.cores,
@@ -1132,26 +1130,17 @@ impl Machine {
                 cfg: &self.cfg,
                 num_banks,
             };
-            match self.cfg.exec_mode {
-                ExecMode::EventDriven => phases::step_runnable_cores(
+            match self.translation.as_deref() {
+                Some(translation) => phases::step_translated_cores(
                     &mut ctx,
-                    &self.runnable,
-                    now,
-                    &mut self.seq_scratch,
-                    tracing,
-                ),
-                ExecMode::Translated => phases::step_translated_cores(
-                    &mut ctx,
-                    translation.expect("translated machine builds its translation at construction"),
+                    translation,
                     &self.runnable,
                     now,
                     horizon,
                     &mut self.seq_scratch,
                     tracing,
                 ),
-                ExecMode::Reference => {
-                    phases::step_all_cores(&mut ctx, now, &mut self.seq_scratch, tracing);
-                }
+                None => phases::step_all_cores(&mut ctx, now, &mut self.seq_scratch, tracing),
             }
         }
         clock.lap(Phase::CoreStep);
@@ -1170,7 +1159,7 @@ impl Machine {
         // Phase 5: flush core outboxes into the request network. The start
         // index rotates each cycle so no core gets static injection
         // priority (round-robin arbitration, as in the real fabric).
-        if self.cfg.exec_mode.event_scheduled() {
+        if self.cfg.exec_mode == ExecMode::Fast {
             if !self.dirty_cores.is_empty() {
                 let n = self.cores.len();
                 let start = match &self.chaos {
@@ -1273,9 +1262,9 @@ impl Machine {
     fn merge_core_phase(&mut self, now: u64) -> Option<SimError> {
         self.drain_shard_traces(now);
         let shards = self.shard_count();
-        let event_driven = self.cfg.exec_mode.event_scheduled();
+        let fast = self.cfg.exec_mode == ExecMode::Fast;
         let mut error: Option<(u32, SimError)> = None;
-        if event_driven {
+        if fast {
             self.merge_scratch.clear();
         }
         for s in 0..shards {
@@ -1299,7 +1288,7 @@ impl Machine {
                     error = Some((core, err));
                 }
             }
-            if event_driven {
+            if fast {
                 let kept = std::mem::take(&mut self.scratch_at(s).kept_runnable);
                 self.merge_scratch.extend_from_slice(&kept);
                 self.scratch_at(s).kept_runnable = kept;
@@ -1311,7 +1300,7 @@ impl Machine {
                 self.scratch_at(s).new_dirty_cores = add;
             }
         }
-        if event_driven {
+        if fast {
             std::mem::swap(&mut self.runnable, &mut self.merge_scratch);
         }
         error.map(|(_, err)| err)
@@ -1469,7 +1458,7 @@ impl Machine {
     /// now-1`; the core runs again in this cycle's Phase 4) and queue the
     /// core for the runnable set.
     fn wake_from_sleep(&mut self, c: usize, now: u64) {
-        if self.cfg.exec_mode.event_scheduled() {
+        if self.cfg.exec_mode == ExecMode::Fast {
             self.cores[c].stats.sleep_cycles += now - 1 - self.cores[c].parked_at;
             self.pending_wake.push(c as u32);
         }
@@ -1486,7 +1475,7 @@ impl Machine {
     fn release_barrier_if_ready(&mut self, now: u64) {
         let running = self.cores.len() - self.halted;
         if running > 0 && self.barrier_waiting == running {
-            let event_driven = self.cfg.exec_mode.event_scheduled();
+            let fast = self.cfg.exec_mode == ExecMode::Fast;
             let waiting = self.barrier_waiting as u32;
             self.tracer
                 .emit(now, || TraceEvent::BarrierRelease { waiting });
@@ -1498,7 +1487,7 @@ impl Machine {
                         core: x as u32,
                         cause: WakeCause::Barrier,
                     });
-                    if event_driven {
+                    if fast {
                         core.stats.barrier_cycles += now - core.parked_at;
                         self.pending_wake.push(x as u32);
                     }
@@ -1564,15 +1553,15 @@ impl Machine {
         out.put_u32(self.cfg.words_per_bank() as u32);
         // Program-image fingerprint: a snapshot resumes mid-program, so
         // restoring it onto a machine running different code would be
-        // silently wrong in any mode — and would execute stale
-        // superblocks in `ExecMode::Translated`. Mode-independent, so
+        // silently wrong in either mode — and would execute stale
+        // superblocks in `ExecMode::Fast`. Mode-independent, so
         // snapshot bytes stay identical across modes.
         out.put_u32(self.program.raw.len() as u32);
         out.put_u32(self.program.entry);
         out.put_u64(program_fingerprint(&self.program));
         out.put_u64(self.cycle);
 
-        let lazy = self.cfg.exec_mode.event_scheduled();
+        let lazy = self.cfg.exec_mode == ExecMode::Fast;
         for core in &self.cores {
             for r in core.regs {
                 out.put_u32(r);

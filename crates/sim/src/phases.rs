@@ -283,98 +283,17 @@ pub(crate) struct CorePhase<'a> {
     pub num_banks: u32,
 }
 
-/// Steps this shard's slice of the runnable set (event-driven mode),
-/// compacting cores that stay `Running` into `scratch.kept_runnable`.
+/// Steps this shard's slice of the runnable set ([`ExecMode::Fast`]),
+/// compacting cores that stay `Running` into `scratch.kept_runnable`. A
+/// runnable core whose pc enters a superblock executes the whole block
+/// (up to `horizon`) in one call instead of one instruction.
 ///
 /// `runnable` must be the ascending sub-slice of the global runnable set
 /// that falls inside this shard's core range. On a fatal error the
 /// unstepped tail is preserved in the kept list (post-mortem state), the
 /// error recorded in the scratch, and stepping stops.
-pub(crate) fn step_runnable_cores(
-    ctx: &mut CorePhase<'_>,
-    runnable: &[u32],
-    now: u64,
-    scratch: &mut ShardScratch,
-    tracing: bool,
-) {
-    let ShardScratch {
-        kept_runnable,
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        error,
-        error_core,
-        trace,
-        ..
-    } = scratch;
-    let mut out = StepOut {
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        track_dirty: true,
-    };
-    if tracing {
-        walk_runnable(
-            ctx,
-            runnable,
-            now,
-            kept_runnable,
-            &mut out,
-            error,
-            error_core,
-            &mut BufTrace(trace),
-        );
-    } else {
-        walk_runnable(
-            ctx,
-            runnable,
-            now,
-            kept_runnable,
-            &mut out,
-            error,
-            error_core,
-            &mut NoTrace,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk_runnable<T: TraceCtx>(
-    ctx: &mut CorePhase<'_>,
-    runnable: &[u32],
-    now: u64,
-    kept_runnable: &mut Vec<u32>,
-    out: &mut StepOut<'_>,
-    error: &mut Option<SimError>,
-    error_core: &mut u32,
-    trace: &mut T,
-) {
-    for (i, &c) in runnable.iter().enumerate() {
-        let result = ctx.step_running_core(c, now, out, trace);
-        // The keep check runs even for a faulting core: a core that is
-        // still `Running` after its fatal error (e.g. a breakpoint)
-        // stays in the set, like every other observable of the
-        // post-mortem state.
-        if ctx.cores[(c - ctx.core_lo) as usize].state == CoreState::Running {
-            kept_runnable.push(c);
-        }
-        if let Err(e) = result {
-            *error = Some(e);
-            *error_core = c;
-            // Preserve the unstepped tail so the machine state stays
-            // consistent for post-mortem inspection.
-            kept_runnable.extend_from_slice(&runnable[i + 1..]);
-            return;
-        }
-    }
-}
-
-/// Steps this shard's slice of the runnable set in translated mode:
-/// identical scheduling to [`step_runnable_cores`], but a runnable core
-/// whose pc enters a superblock executes the whole block (up to
-/// `horizon`) in one call instead of one instruction.
+///
+/// [`ExecMode::Fast`]: crate::ExecMode::Fast
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_translated_cores(
     ctx: &mut CorePhase<'_>,
@@ -447,13 +366,18 @@ fn walk_translated<T: TraceCtx>(
 ) {
     for (i, &c) in runnable.iter().enumerate() {
         let result = ctx.step_core_translated(c, translation, now, horizon, out, trace);
-        // Same kept/fault-tail semantics as `walk_runnable`.
+        // The keep check runs even for a faulting core: a core that is
+        // still `Running` after its fatal error (e.g. a breakpoint)
+        // stays in the set, like every other observable of the
+        // post-mortem state.
         if ctx.cores[(c - ctx.core_lo) as usize].state == CoreState::Running {
             kept_runnable.push(c);
         }
         if let Err(e) = result {
             *error = Some(e);
             *error_core = c;
+            // Preserve the unstepped tail so the machine state stays
+            // consistent for post-mortem inspection.
             kept_runnable.extend_from_slice(&runnable[i + 1..]);
             return;
         }
@@ -551,7 +475,8 @@ impl CorePhase<'_> {
             .and_then(|i| self.program.source_lines.get(i).copied())
     }
 
-    /// Steps one core known to be in [`CoreState::Running`].
+    /// Steps one core known to be in [`CoreState::Running`] through the
+    /// interpreter (reference mode).
     fn step_running_core<T: TraceCtx>(
         &mut self,
         c: u32,
@@ -568,7 +493,7 @@ impl CorePhase<'_> {
         self.interp_step(c, now, out, trace)
     }
 
-    /// Steps one runnable core in translated mode. Scheduling guards are
+    /// Steps one runnable core in fast mode. Scheduling guards are
     /// identical to [`Self::step_running_core`], except that cycles a
     /// superblock already charged in-block (`charged_until`) are not
     /// re-charged as per-visit stalls. A pc with a superblock entry runs
@@ -859,7 +784,7 @@ impl CorePhase<'_> {
     }
 
     /// Queues a request on the core's own outbox, recording the empty →
-    /// non-empty transition for the event-driven Phase 5 merge.
+    /// non-empty transition for the fast-mode Phase 5 merge.
     fn push_outbox(&mut self, c: u32, msg: ReqMsg, out: &mut StepOut<'_>) {
         let i = self.local(c);
         if out.track_dirty && self.core_outbox[i].is_empty() {

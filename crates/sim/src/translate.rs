@@ -1,5 +1,5 @@
-//! Superblock translation and execution — the `ExecMode::Translated`
-//! fast path.
+//! Superblock translation and execution — the instruction dispatch of
+//! `ExecMode::Fast`.
 //!
 //! A [`Translation`] lowers every instruction of a
 //! [`DecodedProgram`](crate::cpu::DecodedProgram) into a
@@ -21,9 +21,9 @@
 //! has already accounted are recorded in `Core::charged_until` so the
 //! per-cycle scheduler and `fast_forward` never double-charge them.
 //! Internal micro-ops touch no memory and emit no trace events — in
-//! every mode those instructions are trace-silent — so statistics,
+//! both modes those instructions are trace-silent — so statistics,
 //! trace streams, and snapshots stay bit-identical with the
-//! interpreter-only modes.
+//! interpreter-only `ExecMode::Reference`.
 
 use lrscwait_isa::{AluOp, JumpTarget, MicroOp};
 

@@ -45,13 +45,11 @@ const KERNEL: &str = r#"
 "#;
 
 /// Every (mode, shards) combination the determinism contract covers.
-const COMBOS: [(ExecMode, usize); 6] = [
-    (ExecMode::EventDriven, 1),
+const COMBOS: [(ExecMode, usize); 4] = [
+    (ExecMode::Fast, 1),
     (ExecMode::Reference, 1),
-    (ExecMode::Translated, 1),
-    (ExecMode::EventDriven, 3),
+    (ExecMode::Fast, 3),
     (ExecMode::Reference, 2),
-    (ExecMode::Translated, 3),
 ];
 
 struct Observation {
@@ -141,8 +139,8 @@ fn active_plan_actually_perturbs_the_run() {
     // Sanity check on the other side of the contract: an active plan must
     // not be a no-op, or the whole litmus suite tests nothing.
     let arch = SyncArch::Colibri { queues: 2 };
-    let off = observe(arch, ExecMode::EventDriven, 1, None);
-    let on = observe(arch, ExecMode::EventDriven, 1, Some(FaultPlan::standard(7)));
+    let off = observe(arch, ExecMode::Fast, 1, None);
+    let on = observe(arch, ExecMode::Fast, 1, Some(FaultPlan::standard(7)));
     assert_ne!(
         off.summary.cycles, on.summary.cycles,
         "an active fault plan must change the run"
@@ -156,8 +154,8 @@ fn active_plan_actually_perturbs_the_run() {
 #[test]
 fn different_seeds_diverge() {
     let arch = SyncArch::Colibri { queues: 2 };
-    let a = observe(arch, ExecMode::EventDriven, 1, Some(FaultPlan::standard(7)));
-    let b = observe(arch, ExecMode::EventDriven, 1, Some(FaultPlan::standard(8)));
+    let a = observe(arch, ExecMode::Fast, 1, Some(FaultPlan::standard(7)));
+    let b = observe(arch, ExecMode::Fast, 1, Some(FaultPlan::standard(8)));
     assert_ne!(
         (a.summary.cycles, a.stats.adapters.reservations_broken),
         (b.summary.cycles, b.stats.adapters.reservations_broken),

@@ -1,6 +1,6 @@
-//! Differential equivalence suite: the event-driven scheduler and the
-//! translated superblock stepper must match the naive reference stepper
-//! bit-for-bit — cycle counts, exit reasons, every statistic, and the
+//! Differential equivalence suite: the default fast mode (event-driven
+//! scheduling plus superblock run-ahead) must match the naive reference
+//! stepper bit-for-bit — cycle counts, exit reasons, every statistic, and the
 //! debug log — on every synchronization architecture, **and for every
 //! shard count**: bank-sharded parallel execution (`SimConfig::shards >
 //! 1`) must be indistinguishable from the single-threaded walk. The
@@ -12,8 +12,8 @@ use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
 use lrscwait_sim::{ExecMode, ExitReason, Machine, RunSummary, SimConfig, SimStats};
 
-/// Runs `src` under all three execution modes — and, for each mode, both
-/// a single shard and a multi-shard worker pool — and asserts
+/// Runs `src` under both execution modes — and, for each mode, both a
+/// single shard and a multi-shard worker pool — and asserts
 /// bit-identical observable results, returning the (identical) summary
 /// and stats.
 fn assert_equivalent(src: &str, cfg: SimConfig, what: &str) -> (RunSummary, SimStats) {
@@ -21,7 +21,7 @@ fn assert_equivalent(src: &str, cfg: SimConfig, what: &str) -> (RunSummary, SimS
     let decoded = Machine::decode(&program).expect("decodes");
 
     let mut fast = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
-    assert_eq!(fast.mode(), ExecMode::EventDriven, "event-driven default");
+    assert_eq!(fast.mode(), ExecMode::Fast, "fast default");
     assert_eq!(fast.shards(), 1, "single shard default");
     let fast_summary = fast.run().expect("fast run");
 
@@ -30,10 +30,8 @@ fn assert_equivalent(src: &str, cfg: SimConfig, what: &str) -> (RunSummary, SimS
     let shards = cfg.topology.num_cores.min(3);
     for (mode, label) in [
         (ExecMode::Reference, "reference"),
-        (ExecMode::Translated, "translated"),
-        (ExecMode::EventDriven, "sharded event-driven"),
+        (ExecMode::Fast, "sharded fast"),
         (ExecMode::Reference, "sharded reference"),
-        (ExecMode::Translated, "sharded translated"),
     ] {
         let mut other_cfg = cfg;
         other_cfg.exec_mode = mode;
@@ -259,7 +257,7 @@ fn spinning_watchdog_is_equivalent() {
 
 #[test]
 fn all_asleep_watchdog_is_equivalent_and_fast() {
-    // Every core parks on a monitor nobody ever writes: the event-driven
+    // Every core parks on a monitor nobody ever writes: the fast-mode
     // run must fast-forward straight to the watchdog while reporting the
     // exact same statistics as the reference grinding through every cycle.
     let src = r#"
@@ -368,23 +366,13 @@ fn step_cycle_equivalence_without_run_loop() {
     let mut fast = Machine::with_decoded(cfg, decoded.clone()).unwrap();
     let mut ref_cfg = cfg;
     ref_cfg.exec_mode = ExecMode::Reference;
-    let mut reference = Machine::with_decoded(ref_cfg, decoded.clone()).unwrap();
-    // Direct step_cycle has no run-ahead horizon, so the translated
-    // stepper must stay per-cycle exact here too.
-    let mut trans_cfg = cfg;
-    trans_cfg.exec_mode = ExecMode::Translated;
-    let mut translated = Machine::with_decoded(trans_cfg, decoded).unwrap();
+    // Direct step_cycle has no run-ahead horizon, so the superblock
+    // stepper must stay per-cycle exact.
+    let mut reference = Machine::with_decoded(ref_cfg, decoded).unwrap();
     for cycle in 0..400 {
         fast.step_cycle().unwrap();
         reference.step_cycle().unwrap();
-        translated.step_cycle().unwrap();
         assert_eq!(fast.cycles(), reference.cycles());
         assert_eq!(fast.stats(), reference.stats(), "divergence at {cycle}");
-        assert_eq!(fast.cycles(), translated.cycles());
-        assert_eq!(
-            fast.stats(),
-            translated.stats(),
-            "translated divergence at {cycle}"
-        );
     }
 }

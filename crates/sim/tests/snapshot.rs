@@ -13,12 +13,11 @@ use lrscwait_sim::{ExecMode, ExitReason, Machine, SimConfig, SimError};
 use lrscwait_trace::{RecordingSink, SharedSink, TraceEvent};
 
 /// Mode/shard combinations exercised on each side of a snapshot.
-const COMBOS: [(ExecMode, usize); 5] = [
-    (ExecMode::EventDriven, 1),
+const COMBOS: [(ExecMode, usize); 4] = [
+    (ExecMode::Fast, 1),
     (ExecMode::Reference, 1),
-    (ExecMode::Translated, 1),
-    (ExecMode::EventDriven, 3),
-    (ExecMode::Translated, 3),
+    (ExecMode::Fast, 3),
+    (ExecMode::Reference, 2),
 ];
 
 fn configured(base: SimConfig, mode: ExecMode, shards: usize) -> SimConfig {
@@ -388,7 +387,7 @@ fn restore_rejects_malformed_snapshots() {
 #[test]
 fn restore_rejects_stale_program_image() {
     // A snapshot must never resume over a different text image: the
-    // translated stepper would execute superblocks lowered from the wrong
+    // fast stepper would execute superblocks lowered from the wrong
     // program (and the interpreter would silently diverge just the same).
     let program = Assembler::new()
         .assemble(CONTENDED_COUNTER)
@@ -419,7 +418,7 @@ fn restore_rejects_stale_program_image() {
 
 #[test]
 fn restore_reuses_cached_translation() {
-    // Every translated machine built from (or restored over) the same
+    // Every fast-mode machine built from (or restored over) the same
     // decoded program must share one translation — the cache lives on the
     // `DecodedProgram`, and `restore` must not rebuild or replace it.
     let program = Assembler::new()
@@ -428,32 +427,32 @@ fn restore_reuses_cached_translation() {
     let decoded = Machine::decode(&program).expect("decodes");
     let cfg = configured(
         SimConfig::small(4, SyncArch::Colibri { queues: 2 }),
-        ExecMode::Translated,
+        ExecMode::Fast,
         1,
     );
 
     let mut first = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
-    let original = std::sync::Arc::clone(first.translation().expect("translated mode"));
+    let original = std::sync::Arc::clone(first.translation().expect("fast mode"));
     first.run_until(40).expect("run");
     let bytes = first.snapshot();
 
     let mut second = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
     assert!(
-        std::sync::Arc::ptr_eq(second.translation().expect("translated"), &original),
+        std::sync::Arc::ptr_eq(second.translation().expect("fast mode"), &original),
         "clones of one DecodedProgram share one translation"
     );
     second.restore(&bytes).expect("restore");
     assert!(
-        std::sync::Arc::ptr_eq(second.translation().expect("translated"), &original),
+        std::sync::Arc::ptr_eq(second.translation().expect("fast mode"), &original),
         "restore must keep the cached translation, not rebuild it"
     );
     let summary = second.run().expect("resumed run");
     assert_eq!(summary.exit, ExitReason::AllHalted);
 
-    // A non-translated machine carries no translation at all.
-    let plain =
-        Machine::with_decoded(configured(cfg, ExecMode::EventDriven, 1), decoded).expect("loads");
-    assert!(plain.translation().is_none());
+    // A reference machine carries no translation at all.
+    let reference =
+        Machine::with_decoded(configured(cfg, ExecMode::Reference, 1), decoded).expect("loads");
+    assert!(reference.translation().is_none());
 }
 
 #[test]

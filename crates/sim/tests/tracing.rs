@@ -1,7 +1,7 @@
 //! Machine-level tracing tests: the emitted event stream is complete,
 //! internally consistent, and — like every other observable — identical
-//! across the event-driven scheduler, the reference stepper, and the
-//! translated superblock stepper.
+//! across the default fast mode and the reference stepper, at every
+//! shard count.
 
 use lrscwait_asm::Assembler;
 use lrscwait_core::{SyncArch, SyncEvent};
@@ -52,13 +52,11 @@ fn trace_stream_is_identical_across_exec_modes_and_shards() {
     // parallel phases buffer per shard and drain in shard order, which
     // reproduces the single-sharded emission order exactly.
     for arch in [SyncArch::LrscWaitIdeal, SyncArch::Colibri { queues: 2 }] {
-        let (fast, fast_cycles) = record_run(arch, ExecMode::EventDriven, 1);
+        let (fast, fast_cycles) = record_run(arch, ExecMode::Fast, 1);
         for (mode, shards) in [
             (ExecMode::Reference, 1),
-            (ExecMode::Translated, 1),
-            (ExecMode::EventDriven, 3),
+            (ExecMode::Fast, 3),
             (ExecMode::Reference, 2),
-            (ExecMode::Translated, 3),
         ] {
             let (other, other_cycles) = record_run(arch, mode, shards);
             assert_eq!(fast_cycles, other_cycles);
@@ -79,7 +77,7 @@ fn trace_stream_is_identical_across_exec_modes_and_shards() {
 
 #[test]
 fn stream_starts_with_geometry_and_balances_parks() {
-    let (events, _) = record_run(SyncArch::Colibri { queues: 2 }, ExecMode::EventDriven, 2);
+    let (events, _) = record_run(SyncArch::Colibri { queues: 2 }, ExecMode::Fast, 2);
     assert!(
         matches!(
             events.first(),
