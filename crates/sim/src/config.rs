@@ -59,17 +59,23 @@ pub const NUM_ARGS: usize = 8;
 ///
 /// | Mode | Scheduling | Instruction dispatch | Cost |
 /// |---|---|---|---|
-/// | `Fast` | sorted runnable set + fast-forward | superblock micro-ops, interpreter at boundaries | O(events) |
+/// | `Fast` | due cores + ready-time calendar + fast-forward | superblock micro-ops, closed-form countdown loops, interpreter at boundaries | O(events) |
 /// | `Reference` | every core, every cycle | interpreter | O(cores × cycles) |
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Runnable-set scheduling with lazy parked-core accounting, cycle
-    /// fast-forwarding (in `Machine::run`) and superblock execution:
-    /// straight-line runs of ALU/branch micro-ops (see
-    /// [`lrscwait_isa::MicroOp`]) execute as one tight loop charging the
-    /// same per-instruction cycle accounting, re-entering the interpreter
-    /// at every load/store/AMO/CSR/fence/ecall boundary where the NoC,
-    /// adapters, or timing model must observe the core. The default.
+    /// Event-proportional scheduling and superblock execution. Phase 4
+    /// walks only the cores due this cycle; a running core waiting on
+    /// its `ready_at` sits in a ready-time calendar and is not visited,
+    /// parked cores are not visited either, and the cycles nobody visits
+    /// are charged in bulk (a running core's stall watermark, a parked
+    /// core's `parked_at` delta). `Machine::run` fast-forwards over
+    /// cycles in which nothing can happen. Straight-line runs of
+    /// ALU/branch micro-ops (see [`lrscwait_isa::MicroOp`]) execute as
+    /// one tight loop charging the same per-instruction cycle accounting,
+    /// `addi r, r, -1; bnez r` countdown loops retire in closed form, and
+    /// the interpreter takes over at every load/store/AMO/CSR/fence/ecall
+    /// boundary where the NoC, adapters, or timing model must observe
+    /// the core. The default.
     #[default]
     Fast,
     /// Naive stepper: every core visited every cycle with eager per-cycle
@@ -541,8 +547,9 @@ impl SimConfigBuilder {
 
     /// Selects how the machine schedules core stepping.
     ///
-    /// [`ExecMode::Fast`] (the default) is the O(events) runnable-set
-    /// scheduler with the superblock micro-op fast path;
+    /// [`ExecMode::Fast`] (the default) is the O(events) scheduler
+    /// (due cores plus a ready-time calendar) with the superblock
+    /// micro-op fast path;
     /// [`ExecMode::Reference`] is the naive O(cores × cycles)
     /// ground-truth stepper. Results are bit-identical in both modes —
     /// pick `Reference` only for differential testing or

@@ -232,13 +232,18 @@ pub struct Core {
     pub state: CoreState,
     /// Earliest cycle the next instruction may issue.
     pub ready_at: u64,
-    /// Last cycle the superblock fast path has already charged into
-    /// `stats` for this core (superblocks run ahead of the machine
-    /// clock; per-cycle visits before this point must not double-count
-    /// stalls, and `fast_forward` must not re-credit them). Only
-    /// `ExecMode::Fast` runs superblocks, so the reference stepper leaves
-    /// it at `0`; transient simulation state, never serialized —
-    /// snapshots reset it on restore.
+    /// Stall watermark of a running core in `ExecMode::Fast`: the last
+    /// cycle already charged into `stats`. Superblocks run ahead of the
+    /// machine clock and set it to their last issue cycle; a core waiting
+    /// on `ready_at` in the ready-time calendar is not visited, so its
+    /// next visit credits every cycle after the watermark as a stall in
+    /// one step, and `Machine::stats` / `Machine::snapshot` flush
+    /// `cycle − charged_until` for cores still running. A wake sets it to
+    /// the cycle before the wake, a barrier release to the release
+    /// cycle. The reference stepper charges eagerly and leaves it alone.
+    /// Transient simulation state, never serialized: a restore sets it to
+    /// the snapshot's cycle, up to which the snapshot's statistics are
+    /// flushed.
     pub charged_until: u64,
     /// Cycle at which the core last entered `WaitingMem` or `Barrier`
     /// (event-driven lazy accounting: the sleep/barrier cycle total is

@@ -45,6 +45,7 @@
 //! # }
 //! ```
 
+mod calendar;
 pub mod config;
 pub mod cpu;
 mod machine;

@@ -60,25 +60,38 @@
 //! ([`ExecMode::Fast`]) makes the simulator's cost track *events*
 //! instead of `cores × cycles`:
 //!
-//! * **Runnable set.** Phase 4 walks an always-sorted list of the cores in
-//!   [`CoreState::Running`]. Cores leave it when they halt, park at the
-//!   barrier, or block on memory, and re-enter on response delivery or
-//!   barrier release — a parked core costs zero work per cycle.
-//! * **Lazy parked accounting.** Sleep/barrier cycle counters are settled
-//!   as one `now − parked_at` delta on wake (and flushed on
-//!   [`Machine::stats`]) instead of one increment per parked cycle.
+//! * **Due cores only.** Phase 4 walks an always-sorted list of the
+//!   [`CoreState::Running`] cores due this cycle. Cores leave it when they
+//!   halt, park at the barrier, or block on memory, and re-enter on
+//!   response delivery or barrier release — a parked core costs zero work
+//!   per cycle.
+//! * **Ready-time calendar.** After the Phase 4 merge, a running core
+//!   whose `ready_at` lies beyond the next cycle (a branch penalty, a
+//!   divide, or a superblock that ran ahead — an LR/SC backoff loop can
+//!   run thousands of cycles ahead) leaves the walked list for the
+//!   calendar (`crate::calendar`: a bucket ring over the next 64 cycles
+//!   plus a min-heap keyed `(ready_at, core id)` beyond it). Due entries
+//!   re-enter the list in ascending id order before Phase 4, through the
+//!   same merge as woken cores, so a waiting core costs nothing until its
+//!   cycle comes.
+//! * **Lazy accounting.** Sleep/barrier cycle counters are settled as one
+//!   `now − parked_at` delta on wake, and a running core's stalls as one
+//!   delta past its stall watermark (`Core::charged_until`) on its next
+//!   visit; [`Machine::stats`] and [`Machine::snapshot`] flush both,
+//!   instead of one increment per unvisited cycle.
 //! * **Cycle fast-forwarding.** Between cycles, [`Machine::run`] asks both
 //!   networks for their [`next_ready_at`](Network::next_ready_at) and the
-//!   runnable cores for their earliest `ready_at` (a core whose superblock
-//!   ran ahead is not ready until its run-ahead ends); when the next
-//!   event is more than one cycle away (and no outbox holds backpressured
-//!   traffic), the cycle counter jumps straight to it. Long all-asleep phases — the
-//!   common case under LRSCwait — cost O(events), and an all-parked
-//!   deadlock jumps directly to the watchdog.
+//!   calendar for its earliest `ready_at`; when no core is due, the next
+//!   event is more than one cycle away and no outbox holds backpressured
+//!   traffic, the cycle counter jumps straight to it without touching a
+//!   core. Long all-asleep phases — the common case under LRSCwait — cost
+//!   O(events), and an all-parked deadlock jumps directly to the
+//!   watchdog.
 //! * **Allocation-free hot loops.** Every per-cycle scratch buffer
 //!   (message buffers, dirty-bank/dirty-core lists, the runnable set and
-//!   its merge scratch, the networks' scan sets, the per-shard scratches)
-//!   is reused; steady-state cycles perform zero heap allocations.
+//!   its merge scratch, the calendar, the networks' scan sets, the
+//!   per-shard scratches) is reused; steady-state cycles perform zero heap
+//!   allocations.
 //!
 //! # Fast mode: superblock execution
 //!
@@ -91,11 +104,13 @@
 //! interpreter at every load/store/AMO/CSR/fence/ecall boundary — i.e.
 //! exactly where the NoC, the adapters, or the timing model must observe
 //! the core. Superblocks run *ahead* of the machine clock up to the run
-//! loop's horizon (watchdog/target, so both stay cycle-exact); the
-//! cycles already charged are tracked in `Core::charged_until` so
-//! per-cycle visits and `fast_forward` never double-count. Internal
-//! micro-ops are trace-silent in both modes, so trace streams are
-//! unchanged.
+//! loop's horizon (watchdog/target, so both stay cycle-exact); the last
+//! cycle already charged is the core's stall watermark
+//! (`Core::charged_until`), so later visits never double-count. Countdown
+//! loops (`addi r, r, -1; bnez r`, the backoff and delay idiom) are
+//! recognised when the image is lowered, and their taken iterations
+//! retire arithmetically up to the horizon. Internal micro-ops are
+//! trace-silent in both modes, so trace streams are unchanged.
 //!
 //! # Equivalence guarantee
 //!
@@ -144,11 +159,12 @@ use lrscwait_telemetry::{Phase, PhaseProfile, Profiler, ProfilerConfig};
 
 use lrscwait_trace::{NetDir, OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
 
+use crate::calendar::Calendar;
 use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram, PendingKind, PendingMem};
 use crate::phases::{self, CorePhase, ReqMsg, RespMsg, ShardScratch};
 use crate::shard::{Job, WorkerPool};
-use crate::stats::{ExitReason, RunSummary, SimStats};
+use crate::stats::{CoreStats, ExitReason, RunSummary, SimStats};
 use crate::translate::Translation;
 
 /// Fatal simulation error (software bug in a kernel or harness misuse).
@@ -307,10 +323,18 @@ pub struct Machine {
     /// stateful part) are not captured by snapshots: combining mutations
     /// with mid-run checkpoint/restore is unsupported.
     chaos: Chaos,
-    /// Cores in `Running` state, sorted ascending (event-driven Phase 4).
+    /// `Running` cores due to be walked next cycle (`ready_at <= now +
+    /// 1`), sorted ascending (event-driven Phase 4).
     runnable: Vec<u32>,
+    /// Ready-time calendar: every other `Running` core, keyed by
+    /// `ready_at`. Due entries re-enter `runnable` through `pending_wake`
+    /// before Phase 4; its minimum is the cores' next event for
+    /// `fast_forward`. Pre-sized to the core count, so filing and popping
+    /// never allocate.
+    calendar: Calendar,
     /// Cores that became `Running` outside the Phase 4 walk (response
-    /// deliveries, barrier releases), merged into `runnable` next walk.
+    /// deliveries, barrier releases) or came due in the calendar, merged
+    /// into `runnable` next walk.
     pending_wake: Vec<u32>,
     /// Cores with a non-empty request outbox, sorted ascending
     /// (event-driven Phase 5).
@@ -456,6 +480,7 @@ impl Machine {
             chaos: Chaos::from_plan(cfg.chaos),
             park_kind: vec![OpKind::Load; num_cores],
             runnable: (0..num_cores as u32).collect(),
+            calendar: Calendar::new(num_cores),
             pending_wake: Vec::with_capacity(num_cores),
             dirty_cores: Vec::with_capacity(num_cores),
             pool: (cfg.shards > 1).then(|| WorkerPool::new(cfg.shards, num_banks, num_cores)),
@@ -724,18 +749,7 @@ impl Machine {
                 .map(|c| {
                     let mut stats = c.stats;
                     if lazy {
-                        // Flush the deferred parked-cycle delta for cores
-                        // still asleep: the reference would have counted
-                        // one cycle per Phase 4 visit since parking.
-                        match c.state {
-                            CoreState::WaitingMem => {
-                                stats.sleep_cycles += self.cycle - c.parked_at;
-                            }
-                            CoreState::Barrier => {
-                                stats.barrier_cycles += self.cycle - c.parked_at;
-                            }
-                            CoreState::Running | CoreState::Halted => {}
-                        }
+                        flush_lazy(&mut stats, c, self.cycle);
                     }
                     stats
                 })
@@ -831,33 +845,29 @@ impl Machine {
     ///
     /// A cycle can only be skipped when stepping it would change nothing:
     /// no outbox holds traffic (pending injections touch network
-    /// statistics every cycle), every runnable core still waits on
-    /// `ready_at`, and no flit in either network becomes movable. The one
-    /// observable effect of such a cycle — a stall tick per runnable core
-    /// — is credited in bulk.
+    /// statistics every cycle), no core is due (the walked list is empty
+    /// and the calendar's earliest `ready_at` lies beyond the next
+    /// cycle), and no flit in either network becomes movable. The cores'
+    /// next event is the calendar minimum, so the jump neither scans nor
+    /// touches a core: the stall cycles it skips stay uncharged below
+    /// each core's watermark (`Core::charged_until`) until its next
+    /// visit, or until [`Machine::stats`] / [`Machine::snapshot`] flush
+    /// them.
     ///
     /// `limit` clamps the jump (watchdog, or a [`Machine::run_until`]
-    /// target). Clamping is loss-free for the statistics: a jump
-    /// interrupted at `t` credits `t − now` stalls now and the resumed
-    /// jump credits the rest, summing to what the unclamped jump would
-    /// have credited.
+    /// target). Clamping is loss-free for the statistics: the watermark
+    /// accounting charges a skipped cycle exactly once whether it was
+    /// skipped in one jump or two.
     fn fast_forward(&mut self, limit: u64) {
-        if !self.dirty_banks.is_empty() || !self.dirty_cores.is_empty() {
+        if !self.runnable.is_empty() || !self.dirty_banks.is_empty() || !self.dirty_cores.is_empty()
+        {
             return;
         }
         let now = self.cycle;
         let horizon = now + 1;
-        let mut next = u64::MAX;
-        // Cheapest scan first, bailing as soon as the very next cycle is
-        // known to have work: compute-bound phases (every core issuing
-        // with ready_at == now + 1) exit on the first core and never pay
-        // the network scans.
-        for &c in &self.runnable {
-            let ready_at = self.cores[c as usize].ready_at;
-            if ready_at <= horizon {
-                return;
-            }
-            next = next.min(ready_at);
+        let mut next = self.calendar.next(now).unwrap_or(u64::MAX);
+        if next <= horizon {
+            return;
         }
         if let Some(t) = self.req_net.next_ready_at() {
             if t <= horizon {
@@ -871,24 +881,12 @@ impl Machine {
             }
             next = next.min(t);
         }
-        debug_assert!(next > horizon);
         // `next == u64::MAX` means no event can ever occur (all-parked
         // deadlock): jump straight to the limit (normally the watchdog).
         let target = (next - 1).min(limit);
-        if target <= now {
-            return;
+        if target > now {
+            self.cycle = target;
         }
-        for i in 0..self.runnable.len() {
-            let c = self.runnable[i] as usize;
-            // A superblock that ran ahead already charged this core's
-            // stalls up to `charged_until`; only credit the cycles
-            // beyond it.
-            let from = now.max(self.cores[c].charged_until);
-            if target > from {
-                self.cores[c].stats.stall_cycles += target - from;
-            }
-        }
-        self.cycle = target;
     }
 
     /// Advances the machine by exactly one cycle (see the module docs for
@@ -1092,9 +1090,10 @@ impl Machine {
         self.resp_buf = resp_buf;
         clock.lap(Phase::RespDelivery);
 
-        // Phase 4: step the cores (fast: runnable set + superblock run-
+        // Phase 4: step the cores (fast: due cores + superblock run-
         // ahead; reference: every core with eager parked accounting).
         if self.cfg.exec_mode == ExecMode::Fast {
+            self.calendar.pop_due(now, &mut self.pending_wake);
             self.merge_pending_wakes();
         }
         self.reset_scratch();
@@ -1257,8 +1256,10 @@ impl Machine {
 
     /// Folds the core phase's per-shard outputs into the machine, in shard
     /// (= core id) order: trace events, debug prints, halt/barrier counts,
-    /// the rebuilt runnable set and the dirty-core merge. Returns the
-    /// lowest-core fatal error, if any shard faulted.
+    /// the rebuilt runnable set and the dirty-core merge. Cores that stay
+    /// `Running` but are not due next cycle leave the walked list for the
+    /// ready-time calendar. Returns the lowest-core fatal error, if any
+    /// shard faulted.
     fn merge_core_phase(&mut self, now: u64) -> Option<SimError> {
         self.drain_shard_traces(now);
         let shards = self.shard_count();
@@ -1290,7 +1291,16 @@ impl Machine {
             }
             if fast {
                 let kept = std::mem::take(&mut self.scratch_at(s).kept_runnable);
-                self.merge_scratch.extend_from_slice(&kept);
+                for &c in &kept {
+                    let ready_at = self.cores[c as usize].ready_at;
+                    file_running(
+                        &mut self.calendar,
+                        &mut self.merge_scratch,
+                        c,
+                        ready_at,
+                        now,
+                    );
+                }
                 self.scratch_at(s).kept_runnable = kept;
 
                 let add = std::mem::take(&mut self.scratch_at(s).new_dirty_cores);
@@ -1388,8 +1398,8 @@ impl Machine {
         }
     }
 
-    /// Merges cores woken outside the Phase 4 walk into the sorted
-    /// runnable set.
+    /// Merges cores woken outside the Phase 4 walk (or due in the
+    /// calendar) into the sorted runnable set.
     fn merge_pending_wakes(&mut self) {
         if self.pending_wake.is_empty() {
             return;
@@ -1455,11 +1465,14 @@ impl Machine {
     /// Event-driven bookkeeping after a blocking response delivery at
     /// `now`: settle the lazy sleep-cycle delta (the reference counts a
     /// sleep cycle per Phase 4 visit, i.e. for cycles `parked_at+1 ..
-    /// now-1`; the core runs again in this cycle's Phase 4) and queue the
-    /// core for the runnable set.
+    /// now-1`; the core runs again in this cycle's Phase 4), move the
+    /// stall watermark to `now - 1` and queue the core for the runnable
+    /// set.
     fn wake_from_sleep(&mut self, c: usize, now: u64) {
         if self.cfg.exec_mode == ExecMode::Fast {
-            self.cores[c].stats.sleep_cycles += now - 1 - self.cores[c].parked_at;
+            let core = &mut self.cores[c];
+            core.stats.sleep_cycles += now - 1 - core.parked_at;
+            core.charged_until = now - 1;
             self.pending_wake.push(c as u32);
         }
     }
@@ -1471,7 +1484,8 @@ impl Machine {
     /// cores were visited in (and therefore of the shard count): every
     /// released core is charged `now − parked_at` barrier cycles, exactly
     /// what the reference's eager one-per-Phase-4-visit counting adds up
-    /// to, and re-enters the runnable set with `ready_at = now + 1`.
+    /// to, and re-enters the runnable set with `ready_at = now + 1` and its
+    /// stall watermark at `now`.
     fn release_barrier_if_ready(&mut self, now: u64) {
         let running = self.cores.len() - self.halted;
         if running > 0 && self.barrier_waiting == running {
@@ -1489,6 +1503,7 @@ impl Machine {
                     });
                     if fast {
                         core.stats.barrier_cycles += now - core.parked_at;
+                        core.charged_until = now;
                         self.pending_wake.push(x as u32);
                     }
                 }
@@ -1594,15 +1609,9 @@ impl Machine {
             out.put_u32(core.outstanding_stores);
             let mut stats = core.stats;
             if lazy {
-                // Same flush as `Machine::stats`: the reference would have
-                // counted one parked cycle per Phase 4 visit since the
-                // park, so the serialized statistics are identical in both
-                // execution modes.
-                match core.state {
-                    CoreState::WaitingMem => stats.sleep_cycles += self.cycle - core.parked_at,
-                    CoreState::Barrier => stats.barrier_cycles += self.cycle - core.parked_at,
-                    CoreState::Running | CoreState::Halted => {}
-                }
+                // Same flush as `Machine::stats`, so the serialized
+                // statistics are identical in both execution modes.
+                flush_lazy(&mut stats, core, self.cycle);
             }
             out.put_u64(stats.instret);
             out.put_u64(stats.active_cycles);
@@ -1727,7 +1736,7 @@ impl Machine {
         }
         self.cycle = src.take_u64()?;
         for core in &mut self.cores {
-            load_core(src, core)?;
+            load_core(src, core, self.cycle)?;
         }
         for q in &mut self.qnodes {
             q.load_state(src)?;
@@ -1776,9 +1785,10 @@ impl Machine {
         }
 
         // Derived state. At a cycle boundary the worklists are functions
-        // of the serialized state: the runnable set is exactly the cores
-        // in `Running` (pending wakes are always merged before the cycle
-        // ends), and a bank/core is dirty iff its outbox is non-empty.
+        // of the serialized state: the `Running` cores due next cycle form
+        // the runnable set and the rest the calendar (pending wakes are
+        // always merged before the cycle ends), and a bank/core is dirty
+        // iff its outbox is non-empty.
         self.halted = self
             .cores
             .iter()
@@ -1791,13 +1801,13 @@ impl Machine {
             .count();
         self.pending_wake.clear();
         self.runnable.clear();
-        self.runnable.extend(
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.state == CoreState::Running)
-                .map(|(i, _)| i as u32),
-        );
+        self.calendar.clear();
+        for (i, core) in self.cores.iter().enumerate() {
+            if core.state == CoreState::Running {
+                let (calendar, due) = (&mut self.calendar, &mut self.runnable);
+                file_running(calendar, due, i as u32, core.ready_at, self.cycle);
+            }
+        }
         self.dirty_banks.clear();
         self.dirty_banks.extend(
             self.bank_outbox
@@ -1911,7 +1921,7 @@ fn mem_width_from(code: u8) -> Result<MemWidth, StateError> {
     })
 }
 
-fn load_core(src: &mut StateReader<'_>, core: &mut Core) -> Result<(), StateError> {
+fn load_core(src: &mut StateReader<'_>, core: &mut Core, cycle: u64) -> Result<(), StateError> {
     for r in core.regs.iter_mut() {
         *r = src.take_u32()?;
     }
@@ -1919,9 +1929,9 @@ fn load_core(src: &mut StateReader<'_>, core: &mut Core) -> Result<(), StateErro
     core.pc = src.take_u32()?;
     core.state = core_state_from(src.take_u8()?)?;
     core.ready_at = src.take_u64()?;
-    // Transient fast-path state, never serialized: the restored machine
-    // has charged nothing beyond the snapshot cycle.
-    core.charged_until = 0;
+    // Transient fast-path state, never serialized: the snapshot's
+    // statistics are flushed up to its cycle, so that is the watermark.
+    core.charged_until = cycle;
     core.parked_at = src.take_u64()?;
     core.pending = if src.take_bool()? {
         let rd = Reg::try_new(u32::from(src.take_u8()?))
@@ -2055,6 +2065,31 @@ fn load_net<P>(
         net.push_flit(Route::new(&hops[..len]), hop, ready_at, payload);
     }
     Ok(())
+}
+
+/// Files running core `c` at the end of cycle `now`: into `due` (the
+/// walked list) when it may issue next cycle, otherwise into the
+/// ready-time calendar until its `ready_at`.
+fn file_running(calendar: &mut Calendar, due: &mut Vec<u32>, c: u32, ready_at: u64, now: u64) {
+    if ready_at > now + 1 {
+        calendar.push(ready_at, c, now);
+    } else {
+        due.push(c);
+    }
+}
+
+/// Adds the cycles a fast-mode core has lived through but not yet been
+/// charged for, as of `cycle`: the parked delta since `parked_at` for a
+/// sleeping or barrier-waiting core, and the stalls past the watermark
+/// (`charged_until`) for a running one — exactly what the reference's
+/// eager one-per-visit counting has added by then.
+fn flush_lazy(stats: &mut CoreStats, core: &Core, cycle: u64) {
+    match core.state {
+        CoreState::WaitingMem => stats.sleep_cycles += cycle - core.parked_at,
+        CoreState::Barrier => stats.barrier_cycles += cycle - core.parked_at,
+        CoreState::Running => stats.stall_cycles += cycle.saturating_sub(core.charged_until),
+        CoreState::Halted => {}
+    }
 }
 
 /// Merges the sorted, disjoint `add` list into the sorted `dst` list,

@@ -494,9 +494,13 @@ impl CorePhase<'_> {
     }
 
     /// Steps one runnable core in fast mode. Scheduling guards are
-    /// identical to [`Self::step_running_core`], except that cycles a
-    /// superblock already charged in-block (`charged_until`) are not
-    /// re-charged as per-visit stalls. A pc with a superblock entry runs
+    /// identical to [`Self::step_running_core`]; the accounting differs
+    /// only in *when* stalls are charged. `Core::charged_until` is the
+    /// core's stall watermark: every cycle after it that this visit
+    /// reaches uncharged was a stall the core was not visited for (it sat
+    /// in the machine's ready-time calendar), so the visit credits them
+    /// in bulk, and cycles a superblock already charged (up to the
+    /// watermark) are never re-charged. A pc with a superblock entry runs
     /// the block; boundary instructions (and out-of-text pcs, which must
     /// fault exactly like the interpreter) take the interpreter path.
     fn step_core_translated<T: TraceCtx>(
@@ -509,24 +513,23 @@ impl CorePhase<'_> {
         trace: &mut T,
     ) -> Result<(), SimError> {
         let i = self.local(c);
-        if now < self.cores[i].ready_at || self.core_outbox[i].len() >= 4 {
-            if now > self.cores[i].charged_until {
-                self.cores[i].stats.stall_cycles += 1;
+        let core = &mut self.cores[i];
+        if now < core.ready_at || self.core_outbox[i].len() >= 4 {
+            if now > core.charged_until {
+                core.stats.stall_cycles += now - core.charged_until;
+                core.charged_until = now;
             }
             return Ok(());
         }
-        if let Some(entry) = translation.entry(self.cores[i].pc) {
-            run_block(
-                &mut self.cores[i],
-                translation,
-                entry,
-                now,
-                horizon,
-                &self.cfg.timing,
-            );
+        // Ready at `now`: a core is ready only past its watermark.
+        debug_assert!(core.charged_until < now, "ready core already charged");
+        core.stats.stall_cycles += now - 1 - core.charged_until;
+        core.charged_until = now;
+        if let Some(entry) = translation.entry(core.pc) {
+            run_block(core, translation, entry, now, horizon, &self.cfg.timing);
             return Ok(());
         }
-        self.cores[i].stats.active_cycles += 1;
+        core.stats.active_cycles += 1;
         self.interp_step(c, now, out, trace)
     }
 

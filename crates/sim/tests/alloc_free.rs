@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
-use lrscwait_sim::{Machine, SimConfig};
+use lrscwait_sim::{ExitReason, Machine, SimConfig};
 
 struct CountingAllocator;
 
@@ -43,6 +43,7 @@ fn steady_state_cycles_do_not_allocate() {
     single_shard_steady_state();
     sharded_steady_state();
     busy_loop_steady_state();
+    backoff_steady_state();
 }
 
 fn single_shard_steady_state() {
@@ -201,5 +202,77 @@ fn busy_loop_steady_state() {
     assert!(
         stats.adapters.amos > 1000,
         "busy-loop workload kept running"
+    );
+}
+
+/// LR/SC retry with exponential backoff, driven through `run_until` so
+/// superblocks run ahead: the backoff countdowns retire in closed form
+/// and the waiting cores move through the ready-time calendar, whose
+/// push and pop must stay off the heap (it is pre-sized to the core
+/// count at construction).
+fn backoff_steady_state() {
+    let src = r#"
+        _start:
+            la   a0, counter
+            rdhartid t6
+            andi t6, t6, 7
+            addi s10, t6, 4
+        again:
+            lr.w t1, (a0)
+            addi t1, t1, 1
+            sc.w t2, t1, (a0)
+            beqz t2, ok
+            mv   t5, s10
+        bk:
+            addi t5, t5, -1
+            bnez t5, bk
+            slli s10, s10, 1
+            li   t5, 2048
+            bltu s10, t5, again
+            mv   s10, t5
+            j    again
+        ok:
+            addi s10, t6, 4
+            j    again
+        .data
+        counter: .word 0
+    "#;
+    let program = Assembler::new().assemble(src).expect("assembles");
+    let cfg = SimConfig::builder()
+        .cores(16)
+        .arch(SyncArch::Lrsc)
+        .max_cycles(u64::MAX)
+        .build()
+        .expect("valid config");
+    let mut machine = Machine::new(cfg, &program).expect("loads");
+
+    fn run_for(machine: &mut Machine, cycles: u64) {
+        let stop = machine
+            .run_until(machine.cycles() + cycles)
+            .expect("backoff run");
+        assert_eq!(stop.exit, ExitReason::TargetReached);
+    }
+    run_for(&mut machine, 200_000);
+    let warm = machine.stats();
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..100 {
+        run_for(&mut machine, 1_000);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "backoff steady-state cycles must not touch the heap"
+    );
+
+    let stats = machine.stats();
+    assert!(
+        stats.adapters.sc_failure > warm.adapters.sc_failure,
+        "cores kept failing and backing off"
+    );
+    assert!(
+        stats.adapters.sc_success > warm.adapters.sc_success + 50,
+        "backoff workload kept making progress"
     );
 }

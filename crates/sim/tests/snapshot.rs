@@ -10,7 +10,7 @@
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
 use lrscwait_sim::{ExecMode, ExitReason, Machine, SimConfig, SimError};
-use lrscwait_trace::{RecordingSink, SharedSink, TraceEvent};
+use lrscwait_trace::{OpKind, RecordingSink, SharedSink, TraceEvent, WakeCause};
 
 /// Mode/shard combinations exercised on each side of a snapshot.
 const COMBOS: [(ExecMode, usize); 4] = [
@@ -478,4 +478,140 @@ fn run_until_is_transparent() {
         target += 13;
     }
     assert_eq!(base.stats(), chopped.stats(), "chopped run statistics");
+}
+
+/// A machine of `cfg` with a recording sink attached; returns both.
+fn traced(
+    cfg: SimConfig,
+    decoded: &std::sync::Arc<lrscwait_sim::DecodedProgram>,
+) -> (Machine, SharedSink<RecordingSink>) {
+    let sink = SharedSink::new(RecordingSink::new());
+    let mut m = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
+    m.set_tracer(Box::new(sink.clone()));
+    (m, sink)
+}
+
+/// Cores inside their backoff countdown at cycle `k`: the `sc.w` that
+/// failed woke them at least two cycles before `k` (so the `mv` has
+/// issued and the `addi`/`bnez` loop is running), and their next `lr.w`
+/// leaves at least eight cycles after `k` (the loop's fall-through and
+/// the window update still lie ahead).
+fn cores_in_backoff(events: &[(u64, TraceEvent)], k: u64, cores: u32) -> usize {
+    (0..cores)
+        .filter(|&core| {
+            let last_wake = events.iter().rev().find_map(|&(cycle, ref e)| match e {
+                TraceEvent::Wake {
+                    core: c,
+                    cause: WakeCause::Response(OpKind::Sc),
+                } if *c == core && cycle + 2 <= k => Some(cycle),
+                _ => None,
+            });
+            let Some(wake) = last_wake else {
+                return false;
+            };
+            let next_lr = events.iter().find_map(|&(cycle, ref e)| match e {
+                TraceEvent::ReqSent {
+                    core: c,
+                    kind: OpKind::Lr,
+                    ..
+                } if *c == core && cycle > wake => Some(cycle),
+                _ => None,
+            });
+            next_lr.is_some_and(|lr| k + 8 <= lr)
+        })
+        .count()
+}
+
+#[test]
+fn backoff_countdowns_match_reference_at_every_stop() {
+    // 64 cores in LR/SC exponential backoff: most of them sit in the
+    // fast path's ready-time calendar or in a closed-form countdown at
+    // any moment. Every `run_until` stop below lands inside countdowns
+    // (checked against the reference trace), and at every stop the
+    // statistics, the snapshot bytes and the trace events since the last
+    // stop must equal the reference's. Every other stop also restores
+    // the snapshot into a fresh machine and carries on from there, so the
+    // run ends bit-identical to the uninterrupted one only if each
+    // restore resumes exactly.
+    let program = Assembler::new().assemble(LRSC_COUNTER).expect("assembles");
+    let decoded = Machine::decode(&program).expect("decodes");
+    let cores = 64;
+    let base_cfg = SimConfig::small(cores, SyncArch::Lrsc);
+
+    let (mut whole, whole_sink) = traced(configured(base_cfg, ExecMode::Reference, 1), &decoded);
+    let whole_summary = whole.run().expect("uninterrupted reference run");
+    assert_eq!(whole_summary.exit, ExitReason::AllHalted);
+    let whole_stats = whole.stats();
+    let events = whole_sink.take().events;
+    assert!(
+        whole_stats.adapters.sc_failure > 0,
+        "contention must back off"
+    );
+
+    let stops: Vec<u64> = (1..)
+        .map(|i| i * 2_003)
+        .take_while(|&k| k < whole_summary.cycles)
+        .collect();
+    assert!(stops.len() >= 8, "enough stops: {}", stops.len());
+    for &k in &stops {
+        assert!(
+            cores_in_backoff(&events, k, cores as u32) > 0,
+            "stop {k} lands inside some core's countdown"
+        );
+    }
+
+    // Per stop: (statistics, snapshot bytes), from the first combination.
+    let mut expected: Vec<(lrscwait_sim::SimStats, Vec<u8>)> = Vec::new();
+    for (mode, shards) in [
+        (ExecMode::Reference, 1),
+        (ExecMode::Fast, 1),
+        (ExecMode::Fast, 2),
+        (ExecMode::Reference, 2),
+    ] {
+        let cfg = configured(base_cfg, mode, shards);
+        let ctx = format!("{mode:?}/{shards}");
+        let (mut m, mut sink) = traced(cfg, &decoded);
+        let mut seen = 1; // the Start event
+        let mut prev = 0;
+        for (i, &k) in stops.iter().enumerate() {
+            let stop = m.run_until(k).expect("run to stop");
+            assert_eq!(stop.exit, ExitReason::TargetReached, "{ctx}: stop {k}");
+            assert_eq!(stop.cycles, k, "{ctx}: exact stop");
+            let stats = m.stats();
+            let bytes = m.snapshot();
+            match expected.get(i) {
+                Some((want_stats, want_bytes)) => {
+                    assert_eq!(&stats, want_stats, "{ctx}: statistics at {k}");
+                    assert!(&bytes == want_bytes, "{ctx}: snapshot bytes at {k}");
+                }
+                None => expected.push((stats, bytes.clone())),
+            }
+            let got: Vec<_> = sink.take().events.split_off(seen);
+            let want: Vec<_> = events
+                .iter()
+                .filter(|(cycle, _)| *cycle > prev && *cycle <= k)
+                .cloned()
+                .collect();
+            assert_eq!(got, want, "{ctx}: trace events in ({prev}, {k}]");
+            prev = k;
+            seen = 0;
+            if i % 2 == 1 {
+                let (mut fresh, fresh_sink) = traced(cfg, &decoded);
+                fresh.restore(&bytes).expect("restore");
+                m = fresh;
+                sink = fresh_sink;
+                seen = 1;
+            }
+        }
+        let summary = m.run().expect("resumed run");
+        assert_eq!(summary, whole_summary, "{ctx}: run summary");
+        assert_eq!(m.stats(), whole_stats, "{ctx}: final statistics");
+        let tail: Vec<_> = sink.take().events.split_off(seen);
+        let want: Vec<_> = events
+            .iter()
+            .filter(|(cycle, _)| *cycle > prev)
+            .cloned()
+            .collect();
+        assert_eq!(tail, want, "{ctx}: trace events after the last stop");
+    }
 }
