@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod assemble;
 pub mod expr;
 

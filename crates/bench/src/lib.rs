@@ -11,7 +11,7 @@
 //! | `fig6` | Fig. 6 — queue throughput vs. core count |
 //! | `table2` | Table II — power and energy per operation |
 //! | `ablation` | Reservation-capacity ablation |
-//! | `perf_smoke` | Simulator-performance smoke: fast-vs-reference and sharded speedups |
+//! | `perf_smoke` | Simulator-performance smoke: fast-vs-reference speedups and profiler overhead |
 //! | `trace` | Perfetto trace + synchronization analysis for any kernel × arch pair |
 //!
 //! Every binary accepts `--quick` (reduced sweep), `--threads N` (sweep
@@ -47,6 +47,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod litmus;
 
@@ -881,7 +883,7 @@ pub struct PerfSummary {
     /// vs. reference speedup measured by `perf_smoke`).
     pub extra: Vec<(String, f64)>,
     /// Named string metadata for the JSON (host CPU count, git revision,
-    /// shard count, exec mode — run provenance for cross-machine
+    /// core count, exec mode — run provenance for cross-machine
     /// comparisons). [`write_bench_json`] injects `host_cpus` and
     /// `git_rev` automatically when absent.
     pub meta: Vec<(String, String)>,
@@ -1038,10 +1040,9 @@ pub fn git_revision() -> String {
 
 /// Writes the figure-level profile artifact `<dir>/<fig>.profile.json`
 /// (schema `lrscwait.profile-set.v1`: one entry per profiled sweep
-/// point, plus the merged aggregate with its embedded Amdahl report) and
-/// the Prometheus rendering of the aggregate to `<dir>/<fig>.profile.prom`.
-/// Also prints the aggregate Amdahl report to stderr — the sweep's
-/// sequential bottleneck named right where the numbers were produced.
+/// point, plus the merged aggregate) and the Prometheus rendering of the
+/// aggregate to `<dir>/<fig>.profile.prom`. Also prints the aggregate's
+/// per-phase shares to stderr, right where the numbers were produced.
 ///
 /// Returns `Ok(None)` when no measurement carries a profile (the sweep
 /// ran without `--profile`).
@@ -1123,7 +1124,7 @@ pub fn write_profile_set(
         "wrote {} (and {})\n{}",
         path.display(),
         prom_path.display(),
-        aggregate.amdahl().render()
+        aggregate.render()
     );
     Ok(Some(path))
 }
@@ -1333,7 +1334,7 @@ pub fn check_claim(condition: bool, message: impl Into<String>) -> Result<(), Be
 /// Usage text shared by every figure binary.
 pub const USAGE: &str = "\
 usage: <figure binary> [--quick] [--threads N] [--out DIR] [--baseline FILE] [--trace]
-                       [--enforce-sharded] [--exec MODE]
+                       [--exec MODE]
   --quick          reduced sweep for CI / smoke testing
   --threads N      sweep worker threads (default: all cores, min 2)
   --exec MODE      execution mode for every experiment: fast (default) or
@@ -1345,21 +1346,16 @@ usage: <figure binary> [--quick] [--threads N] [--out DIR] [--baseline FILE] [--
   --trace          also attach an analysis sink per sweep point and write
                    <fig>.trace.csv (handoff latency p50/p99/max per point;
                    fig3 and fig6)
-  --enforce-sharded  fail instead of skipping the >=2x sharded-speedup bar
-                   when the host has fewer CPUs than shards, and hold the
-                   measured busy speedup to >=2x (perf_smoke; the CI
-                   bench-smoke job passes this on hosted multi-core
-                   runners)
   --checkpoint FILE  write a machine snapshot to FILE when the run ends
                    (written even when the watchdog fired, so a saturated
                    run can be resumed with a larger cycle budget)
   --resume FILE    restore the machine from a snapshot written by
                    --checkpoint instead of starting from reset
   --profile        enable the host-side phase profiler: every experiment
-                   collects per-phase step timings and worker utilization,
-                   and the binary writes <fig>.profile.json plus a
-                   Prometheus rendering and an Amdahl report (results
-                   stay bit-identical; host overhead is a few percent)
+                   collects per-phase step timings, and the binary writes
+                   <fig>.profile.json plus a Prometheus rendering and
+                   prints each phase's share (results stay
+                   bit-identical; host overhead is a few percent)
   --heartbeat SECS  emit a progress line to stderr every SECS seconds
                    per experiment: cycles vs budget, live Mcycles/s,
                    ETA, checkpoint age
@@ -1392,11 +1388,6 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
         "--trace",
         "",
         "per-point synchronization analysis; writes <fig>.trace.csv",
-    ),
-    (
-        "--enforce-sharded",
-        "",
-        "make the >=2x sharded-speedup bar mandatory (perf_smoke)",
     ),
     (
         "--checkpoint",
@@ -1485,10 +1476,6 @@ pub struct BenchArgs {
     /// Attach an [`AnalysisSink`] per sweep point and emit the
     /// figure-level `<fig>.trace.csv` artifact (fig3/fig6).
     pub trace: bool,
-    /// Treat the ≥2x sharded-speedup bar as mandatory (perf_smoke): a
-    /// host with fewer CPUs than shards is an error rather than a skip,
-    /// and the measured busy speedup must clear 2x.
-    pub enforce_sharded: bool,
     /// Write a machine snapshot here when the run ends (even on
     /// watchdog), for later `--resume`.
     pub checkpoint: Option<PathBuf>,
@@ -1516,7 +1503,6 @@ impl Default for BenchArgs {
             out: PathBuf::from("results"),
             baseline: None,
             trace: false,
-            enforce_sharded: false,
             checkpoint: None,
             resume: None,
             exec: None,
@@ -1570,7 +1556,6 @@ impl BenchArgs {
                     parsed.baseline = Some(PathBuf::from(value));
                 }
                 "--trace" => parsed.trace = true,
-                "--enforce-sharded" => parsed.enforce_sharded = true,
                 "--checkpoint" => {
                     let value = it.next().ok_or_else(|| {
                         BenchError::Usage(format!("--checkpoint needs a file\n{USAGE}"))
@@ -2077,7 +2062,7 @@ mod tests {
         let agg = doc.get("aggregate").expect("aggregate present");
         assert_eq!(
             agg.get("schema").and_then(json::Json::as_str),
-            Some("lrscwait.profile.v1")
+            Some("lrscwait.profile.v2")
         );
         // The embedded phase entries must re-sum to the sampled total.
         let phases = agg.get("phases").and_then(json::Json::as_arr).unwrap();
@@ -2088,11 +2073,10 @@ mod tests {
             .sum();
         let sampled = agg.get("sampled_ns").and_then(json::Json::as_f64).unwrap();
         assert!((json_sum - sampled).abs() < 0.5, "{json_sum} vs {sampled}");
-        assert!(agg.get("amdahl").is_some(), "Amdahl report embedded");
 
         let prom = std::fs::read_to_string(dir.join("unit.profile.prom")).unwrap();
         assert!(prom.contains("sim_phase_ns_total"), "{prom}");
-        assert!(prom.contains("sim_amdahl_sequential_fraction"), "{prom}");
+        assert!(prom.contains("sim_phase_share"), "{prom}");
 
         // Un-profiled measurements produce no artifact at all.
         let plain = Experiment::new(
@@ -2126,7 +2110,6 @@ mod tests {
                 "--baseline",
                 "b.json",
                 "--trace",
-                "--enforce-sharded",
                 "--checkpoint",
                 "ckpt.snap",
                 "--resume",
@@ -2142,7 +2125,6 @@ mod tests {
         assert_eq!(args.out, PathBuf::from("outdir"));
         assert_eq!(args.baseline, Some(PathBuf::from("b.json")));
         assert!(args.trace);
-        assert!(args.enforce_sharded);
         assert_eq!(args.checkpoint, Some(PathBuf::from("ckpt.snap")));
         assert_eq!(args.resume, Some(PathBuf::from("prev.snap")));
         assert_eq!(args.exec, Some(ExecMode::Reference));
@@ -2172,10 +2154,13 @@ mod tests {
             "without --exec every config keeps its own mode"
         );
         assert!(!BenchArgs::default().trace, "trace artifacts are opt-in");
-        assert!(
-            !BenchArgs::default().enforce_sharded,
-            "the sharded bar defaults to host-capability gating"
-        );
+        // The retired sharded-speedup gate is an unknown flag now.
+        match BenchArgs::parse(["--enforce-sharded".to_string()]) {
+            Err(BenchError::Usage(msg)) => {
+                assert!(msg.contains("unknown flag `--enforce-sharded`"), "{msg}");
+            }
+            other => panic!("--enforce-sharded: expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -45,9 +45,9 @@
 //!
 //! Every fault decision is a **stateless hash** of `(seed, cycle, site,
 //! ids)` — there is no RNG state to advance, so decisions do not depend on
-//! evaluation order. All injection sites are sequential coordinator code
-//! keyed on quantities the simulator's determinism contract already
-//! guarantees identical across execution modes, shard counts and tracing
+//! evaluation order. All injection sites sit outside the simulator's
+//! phase bodies and are keyed on quantities its determinism contract
+//! already guarantees identical across execution modes and tracing
 //! (per-cycle delivery schedules, bank/core ids). A chaos run with a given
 //! plan is therefore exactly as reproducible as a chaos-off run: same
 //! seed, same trace, bit for bit — which is what makes a failing fuzz seed
@@ -64,6 +64,8 @@
 //! `scwait` success reported as failure — used by the litmus suite's
 //! mutation self-test to prove the [`InvariantChecker`] actually catches
 //! broken hardware with a named invariant violation.
+
+#![forbid(unsafe_code)]
 
 mod checker;
 mod plan;

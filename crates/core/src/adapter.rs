@@ -195,14 +195,7 @@ impl AdapterStats {
 /// messages are delivered. Correctness of the Colibri implementation relies
 /// on the transport delivering messages between a fixed (bank, core) pair in
 /// FIFO order, which both the test harness and the NoC guarantee.
-///
-/// Adapters must be [`Send`]: the simulator's bank-sharded execution mode
-/// services disjoint sets of banks on worker threads, so every adapter
-/// (together with its bank's words and outbox) may be handed to a thread
-/// other than the one that built it. An adapter is only ever *used* by one
-/// thread at a time — no `Sync` requirement — and plain-data adapters (all
-/// shipped ones) satisfy the bound automatically.
-pub trait SyncAdapter: fmt::Debug + Send {
+pub trait SyncAdapter: fmt::Debug {
     /// Processes one request from `src`, appending `(destination core,
     /// response)` pairs to `out` in send order, and reporting every
     /// synchronization event through `emit` (see [`SyncEvent`]).

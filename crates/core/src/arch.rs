@@ -31,24 +31,9 @@ pub enum SyncArch {
     },
 }
 
-// The simulator's bank-sharded execution mode moves adapter and Qnode
-// state across threads; keep the whole family `Send` by construction.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<LrscAdapter>();
-    assert_send::<WaitQueueAdapter>();
-    assert_send::<ColibriAdapter>();
-    assert_send::<crate::Qnode>();
-    assert_send::<Box<dyn SyncAdapter>>();
-};
-
 impl SyncArch {
     /// Builds a fresh adapter for one bank. `num_cores` sizes the ideal
     /// queue variant.
-    ///
-    /// The returned box is [`Send`] (a [`SyncAdapter`] supertrait bound):
-    /// bank-sharded simulation may service this adapter on a worker
-    /// thread.
     #[must_use]
     pub fn build(&self, num_cores: usize) -> Box<dyn SyncAdapter> {
         match *self {

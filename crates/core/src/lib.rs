@@ -43,6 +43,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod adapter;
 mod arch;
 mod colibri;

@@ -13,6 +13,8 @@
 //! assert!(colibri < 107.0, "Colibri's overhead stays small: {colibri:.1}%");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod area;
 mod energy;
 

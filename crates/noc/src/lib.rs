@@ -27,6 +27,8 @@
 //! assert_eq!(delivered, vec!["lrwait"]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod network;
 mod topology;
 

@@ -13,10 +13,9 @@
 //! * an MMIO harness device provides barriers, op counters, measured-region
 //!   markers and arguments — standing in for MemPool's runtime.
 //!
-//! Simulation itself scales across host threads: `SimConfig::builder()
-//! .shards(n)` services banks and steps cores on a persistent worker
-//! pool with bit-identical results for any shard count (see the
-//! [`Machine`] docs for the phase structure and determinism contract).
+//! One machine steps on one host thread; sweeps parallelize across
+//! machines, one per figure point (see the [`Machine`] docs for the phase
+//! structure and determinism contract).
 //!
 //! # Quickstart
 //!
@@ -45,12 +44,13 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod calendar;
 pub mod config;
 pub mod cpu;
 mod machine;
 mod phases;
-mod shard;
 mod stats;
 mod translate;
 

@@ -6,51 +6,35 @@
 //! 1. Advance the request network; delivered requests are grouped by
 //!    destination bank and serviced **in bank-id order** (and, within one
 //!    bank, in delivery order) by the bank's [`SyncAdapter`]; responses
-//!    land in the bank's outbox. This is the first parallel phase: with
-//!    `shards > 1` each worker services a contiguous range of banks.
+//!    land in the bank's outbox.
 //! 2. Flush bank outboxes into the response network in **bank-id order**
 //!    (FIFO per bank, so the (bank → core) ordering Colibri relies on
 //!    holds).
 //! 3. Advance the response network; deliveries pass through the core's
 //!    [`Qnode`] (which may swallow `SuccessorUpdate`s or emit `WakeUp`s)
 //!    and complete the core's in-flight operation.
-//! 4. Step the cores by one instruction in **core-id order** — the second
-//!    parallel phase (contiguous core ranges per shard). Barrier arrivals
-//!    and halts are only *recorded* here; the barrier-release check runs
-//!    once, single-threaded, after the walk, so its accounting never
-//!    depends on visit order.
+//! 4. Step the cores by one instruction in **core-id order**. Barrier
+//!    arrivals and halts are only *recorded* here; the barrier-release
+//!    check runs once, after the walk, so its accounting never depends on
+//!    visit order.
 //! 5. Flush core outboxes into the request network (backpressure stalls
 //!    the core), with the per-cycle rotated round-robin start.
 //!
-//! # Bank-sharded parallel execution
+//! A machine steps on the thread that drives it. Host parallelism lives
+//! one level up: a sweep runs one machine per figure point on its own
+//! worker thread.
 //!
-//! [`SimConfig::shards`]` = n > 1` runs phases 1 and 4 on a persistent
-//! pool of `n − 1` worker threads plus the caller (no per-cycle spawn; the
-//! pool parks between phases). Sharding exploits state that is already
-//! independent within a cycle: a bank adapter touches only its own words,
-//! queue registers and outbox; a stepping core touches only its own
-//! registers, Qnode and request outbox. Phases are separated by barriers,
-//! and everything ordering-sensitive — network advancement, outbox
-//! flushing, response delivery, barrier release, statistics aggregation —
-//! stays on the coordinating thread.
+//! **Determinism contract:** results are bit-identical in both
+//! [`ExecMode`]s — the differential and tracing suites enforce
+//! `Reference` ≡ `Fast` on summaries, statistics, CSV bytes and trace
+//! streams. Two rules make this hold:
 //!
-//! **Determinism contract:** results are bit-identical for *any* shard
-//! count (and both [`ExecMode`]s — the differential and tracing suites
-//! enforce `shards=1` ≡ `shards=N` and `Reference` ≡ `Fast` on
-//! summaries, statistics, CSV bytes and trace streams). Three rules
-//! make this hold:
-//!
-//! * every cross-shard merge (dirty banks, dirty cores, runnable set,
-//!   debug prints, trace events) is performed in bank-id / core-id order —
-//!   shards own contiguous, ordered ranges and accumulate in ascending
-//!   order, so concatenation in shard order *is* the global order;
+//! * every worklist merge (dirty banks, dirty cores, runnable set) keeps
+//!   bank-id / core-id order;
 //! * the barrier release (the one genuinely order-sensitive accounting
-//!   site) is deferred to a single-threaded sub-phase after stepping and
-//!   charges every released core the same `now − parked_at` delta,
-//!   independent of visit order;
-//! * shard-local scratch is reused each cycle, so sharded steady-state
-//!   cycles stay allocation-free (enforced by the counting-allocator
-//!   suite).
+//!   site) is deferred to a sub-phase after stepping and charges every
+//!   released core the same `now − parked_at` delta, independent of visit
+//!   order.
 //!
 //! # Fast mode: event-driven scheduling
 //!
@@ -89,9 +73,9 @@
 //!   watchdog.
 //! * **Allocation-free hot loops.** Every per-cycle scratch buffer
 //!   (message buffers, dirty-bank/dirty-core lists, the runnable set and
-//!   its merge scratch, the calendar, the networks' scan sets, the
-//!   per-shard scratches) is reused; steady-state cycles perform zero heap
-//!   allocations.
+//!   its merge scratch, the calendar, the networks' scan sets) is reused;
+//!   steady-state cycles perform zero heap allocations (enforced by the
+//!   counting-allocator suite).
 //!
 //! # Fast mode: superblock execution
 //!
@@ -120,13 +104,13 @@
 //! ([`ExecMode::Reference`]), which visits all cores every cycle with
 //! eager per-cycle accounting. The differential test suite
 //! (`crates/sim/tests/differential.rs` and the workspace-level
-//! `tests/differential.rs`) runs both modes — and multiple shard
-//! counts — across the kernel × architecture matrix and asserts
-//! bit-identical [`RunSummary`]/[`SimStats`] and byte-identical sweep
-//! CSVs. Barrier-release accounting is visit-order-free by construction:
-//! the release happens in a sequential sub-phase after stepping, charging
-//! each released core `now − parked_at` barrier cycles (which is exactly
-//! what the reference's eager one-per-visit counting adds up to).
+//! `tests/differential.rs`) runs both modes across the kernel ×
+//! architecture matrix and asserts bit-identical
+//! [`RunSummary`]/[`SimStats`] and byte-identical sweep CSVs.
+//! Barrier-release accounting is visit-order-free by construction: the
+//! release happens in a sub-phase after stepping, charging each released
+//! core `now − parked_at` barrier cycles (which is exactly what the
+//! reference's eager one-per-visit counting adds up to).
 //!
 //! # Tracing
 //!
@@ -136,12 +120,10 @@
 //! bank adapters' synchronization events and the networks' transport
 //! events. Tracing is an *observer, never a steering input*: results are
 //! bit-identical with and without a sink, and the event stream itself is
-//! identical across execution modes *and shard counts* (enforced by
-//! `crates/sim/tests/tracing.rs`) — parallel phases buffer their events
-//! per shard and the coordinator drains the buffers in shard (= id)
-//! order. With no sink attached — the default — the phase bodies are
-//! monomorphized over a no-op trace context, so untraced runs pay no
-//! per-step tracing branch at all.
+//! identical across execution modes (enforced by
+//! `crates/sim/tests/tracing.rs`). With no sink attached — the default —
+//! the phase bodies are monomorphized over a no-op trace context, so
+//! untraced runs pay no per-step tracing branch at all.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -162,8 +144,7 @@ use lrscwait_trace::{NetDir, OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
 use crate::calendar::Calendar;
 use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram, PendingKind, PendingMem};
-use crate::phases::{self, CorePhase, ReqMsg, RespMsg, ShardScratch};
-use crate::shard::{Job, WorkerPool};
+use crate::phases::{BankPhase, BankView, CorePhase, NoTrace, ReqMsg, RespMsg, SinkTrace};
 use crate::stats::{CoreStats, ExitReason, RunSummary, SimStats};
 use crate::translate::Translation;
 
@@ -296,10 +277,8 @@ pub struct Machine {
     halted: usize,
     barrier_waiting: usize,
     debug_log: Vec<(u64, u32, u32)>,
-    /// Tracing switch: [`Tracer::Off`] by default. Parallel phases buffer
-    /// events per shard; the coordinator drains the buffers in shard
-    /// order, so the stream is identical for any shard count (tracing
-    /// observes, it never steers).
+    /// Tracing switch: [`Tracer::Off`] by default (tracing observes, it
+    /// never steers).
     tracer: Tracer,
     /// Per-core blocking-operation kind; gives [`TraceEvent::Wake`] its
     /// cause. Maintained unconditionally (not just while tracing) so the
@@ -315,11 +294,11 @@ pub struct Machine {
     /// construction. [`Chaos::Off`] (the default) follows the
     /// `tracer`/`profiler` discipline: one predictable branch per
     /// injection site, results bit-identical to a build without the
-    /// engine. All injection happens in sequential coordinator code
-    /// (eviction pre-pass, bank-outbox flush, core-outbox drain,
-    /// arbitration start), keyed on quantities the determinism contract
-    /// already fixes — so chaos-on runs are equally deterministic across
-    /// exec modes and shard counts. Mutation candidate counters (the only
+    /// engine. Injection happens outside the phase bodies (eviction
+    /// pre-pass, bank-outbox flush, core-outbox drain, arbitration
+    /// start), keyed on quantities the determinism contract already
+    /// fixes — so chaos-on runs are equally deterministic across exec
+    /// modes. Mutation candidate counters (the only
     /// stateful part) are not captured by snapshots: combining mutations
     /// with mid-run checkpoint/restore is unsupported.
     chaos: Chaos,
@@ -339,16 +318,23 @@ pub struct Machine {
     /// Cores with a non-empty request outbox, sorted ascending
     /// (event-driven Phase 5).
     dirty_cores: Vec<u32>,
-    /// Worker pool for `cfg.shards > 1`; `None` runs phases inline.
-    pool: Option<WorkerPool>,
-    /// The single shard's scratch when no pool exists.
-    seq_scratch: ShardScratch,
     // Scratch buffers (allocation-free steady state).
     req_buf: Vec<ReqMsg>,
     resp_buf: Vec<RespMsg>,
     /// Delivered requests of this cycle as (bank, delivery index), sorted —
-    /// the bank-id-ordered service schedule shared by all shard counts.
+    /// the bank-id-ordered service schedule.
     req_order: Vec<(u32, u32)>,
+    /// Response buffer handed to `SyncAdapter::handle`.
+    adapter_out: Vec<(u32, MemResponse)>,
+    /// Banks whose outbox went empty → non-empty in this cycle's service
+    /// phase (ascending), merged into `dirty_banks`.
+    new_dirty_banks: Vec<u32>,
+    /// Runnable cores still `Running` after this cycle's walk
+    /// (ascending), filed into `runnable` or the calendar.
+    kept_runnable: Vec<u32>,
+    /// Cores whose outbox went empty → non-empty in this cycle's walk
+    /// (ascending), merged into `dirty_cores`.
+    new_dirty_cores: Vec<u32>,
     bank_scratch: Vec<u32>,
     core_scratch: Vec<u32>,
     merge_scratch: Vec<u32>,
@@ -371,7 +357,6 @@ impl fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("cores", &self.cores.len())
             .field("banks", &self.banks.len())
-            .field("shards", &self.cfg.shards)
             .field("cycle", &self.cycle)
             .field("halted", &self.halted)
             .finish()
@@ -420,8 +405,7 @@ impl Machine {
     }
 
     /// Builds a machine around an already-decoded (possibly shared)
-    /// program image. With [`SimConfig::shards`]` > 1` this also spawns
-    /// the persistent worker pool (joined again when the machine drops).
+    /// program image.
     ///
     /// # Errors
     ///
@@ -483,11 +467,13 @@ impl Machine {
             calendar: Calendar::new(num_cores),
             pending_wake: Vec::with_capacity(num_cores),
             dirty_cores: Vec::with_capacity(num_cores),
-            pool: (cfg.shards > 1).then(|| WorkerPool::new(cfg.shards, num_banks, num_cores)),
-            seq_scratch: ShardScratch::default(),
             req_buf: Vec::new(),
             resp_buf: Vec::new(),
             req_order: Vec::new(),
+            adapter_out: Vec::new(),
+            new_dirty_banks: Vec::with_capacity(num_banks),
+            kept_runnable: Vec::with_capacity(num_cores),
+            new_dirty_cores: Vec::with_capacity(num_cores),
             bank_scratch: Vec::with_capacity(num_banks),
             core_scratch: Vec::with_capacity(num_cores),
             merge_scratch: Vec::with_capacity(num_cores),
@@ -513,14 +499,6 @@ impl Machine {
         self.cfg.exec_mode
     }
 
-    /// Number of simulation shards (1 = fully inline), fixed at
-    /// construction by [`SimConfig::shards`] (select it through
-    /// [`crate::SimConfigBuilder::shards`]).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.cfg.shards
-    }
-
     /// The superblock translation this machine executes with — `Some`
     /// exactly in [`ExecMode::Fast`]. The `Arc` is shared with the
     /// program image's cache (`DecodedProgram::translation`), so two
@@ -537,9 +515,8 @@ impl Machine {
     ///
     /// Tracing never perturbs simulation: cycle counts, statistics and
     /// memory contents are bit-identical with and without a sink (the
-    /// sink only observes), and the event stream itself is identical for
-    /// every shard count (parallel phases buffer per shard; the
-    /// coordinator drains in shard order). With no sink attached (the
+    /// sink only observes), and the event stream itself is identical in
+    /// both execution modes. With no sink attached (the
     /// default) the phase bodies are monomorphized over a no-op context —
     /// the differential and counting-allocator suites run untraced and
     /// prove the hot path unchanged.
@@ -564,8 +541,7 @@ impl Machine {
         !self.tracer.is_off()
     }
 
-    /// Enables the host-side phase profiler (off by default) and, when
-    /// the machine is sharded, the worker pool's utilization counters.
+    /// Enables the host-side phase profiler (off by default).
     ///
     /// Profiling is strictly host-side: it reads monotonic clocks between
     /// `step_cycle` sub-phases and never touches simulated state, so
@@ -575,9 +551,6 @@ impl Machine {
     /// predictable branch, mirroring the [`Tracer`] discipline.
     pub fn enable_profiler(&mut self, cfg: ProfilerConfig) {
         self.profiler = Profiler::enabled(cfg);
-        if let Some(pool) = &self.pool {
-            pool.enable_telemetry();
-        }
     }
 
     /// Whether the phase profiler is collecting.
@@ -591,12 +564,7 @@ impl Machine {
     /// cumulative.
     #[must_use]
     pub fn profile(&self) -> Option<PhaseProfile> {
-        let workers = self
-            .pool
-            .as_ref()
-            .map(WorkerPool::worker_util)
-            .unwrap_or_default();
-        self.profiler.snapshot(self.shard_count(), workers)
+        self.profiler.snapshot()
     }
 
     /// Current cycle count.
@@ -670,7 +638,7 @@ impl Machine {
     ///
     /// Injections are machine state like any other event: runs performing
     /// the same injections at the same cycles stay bit-identical across
-    /// execution modes, shard counts and tracing.
+    /// execution modes and tracing.
     ///
     /// # Panics
     ///
@@ -689,7 +657,7 @@ impl Machine {
         };
         let mut out = Vec::new();
         {
-            let mut view = phases::BankView {
+            let mut view = BankView {
                 words: &mut self.banks[bank as usize],
                 num_banks,
                 bank,
@@ -894,10 +862,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on kernel bugs. On an error the faulting
-    /// core's shard stops stepping at the fault while other shards finish
-    /// their cycle; the reported error is the one on the lowest core id,
-    /// matching the single-sharded walk.
+    /// Returns [`SimError`] on kernel bugs. Stepping stops at the faulting
+    /// core (the lowest core id to fault this cycle); the cycle's
+    /// bookkeeping still completes, so the machine can be inspected
+    /// post mortem.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
         self.cycle += 1;
         let now = self.cycle;
@@ -907,7 +875,7 @@ impl Machine {
         // across the `&mut self` phase bodies; committed at the end.
         let mut clock = self.profiler.begin_cycle();
 
-        // Phase 1a: advance the request network (sequential).
+        // Phase 1a: advance the request network.
         let mut req_buf = std::mem::take(&mut self.req_buf);
         req_buf.clear();
         if tracing {
@@ -925,22 +893,22 @@ impl Machine {
         clock.lap(Phase::ReqNetAdvance);
 
         // Phase 1b: service the delivered requests, grouped by destination
-        // bank and processed in (bank id, delivery index) order — the one
-        // schedule every shard count shares. Within a bank, delivery order
-        // is preserved (the per-(core, bank) FIFO Colibri relies on).
+        // bank and processed in (bank id, delivery index) order. Within a
+        // bank, delivery order is preserved (the per-(core, bank) FIFO
+        // Colibri relies on).
         self.req_order.clear();
         self.req_order
             .extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
         self.req_order.sort_unstable();
-        // Chaos eviction pre-pass (sequential, before the parallel bank
-        // service): walk the service schedule and spuriously evict
+        // Chaos eviction pre-pass (before the bank service): walk the
+        // service schedule and spuriously evict
         // reservations immediately before their requests are serviced.
         // A spurious `sc`/`scwait` failure *is* such an eviction — the
         // adapters' own fail paths then advance their queues exactly as
         // for a reservation lost to an intervening write, so all protocol
         // state stays consistent by construction. Decisions are stateless
         // hashes of (seed, cycle, bank, delivery index) — identical in
-        // every exec mode and shard count.
+        // both exec modes.
         if let Chaos::On(state) = self.chaos {
             let plan = state.plan;
             if plan.evict_per_mille > 0 || plan.sc_fail_per_mille > 0 {
@@ -964,41 +932,37 @@ impl Machine {
                 self.req_order = order;
             }
         }
-        self.reset_scratch();
-        let bank_job = Job::Banks {
-            reqs: req_buf.as_ptr(),
-            reqs_len: req_buf.len(),
-            order: self.req_order.as_ptr(),
-            order_len: self.req_order.len(),
-            banks: self.banks.as_mut_ptr(),
-            adapters: self.adapters.as_mut_ptr(),
-            bank_outbox: self.bank_outbox.as_mut_ptr(),
+        let mut bank_phase = BankPhase {
+            banks: &mut self.banks,
+            adapters: &mut self.adapters,
+            bank_outbox: &mut self.bank_outbox,
             num_banks,
-            tracing,
+            adapter_out: &mut self.adapter_out,
+            new_dirty_banks: &mut self.new_dirty_banks,
         };
-        if let Some(pool) = &mut self.pool {
-            pool.dispatch(bank_job);
-        } else {
-            phases::service_banks(
-                0,
-                &mut self.banks,
-                &mut self.adapters,
-                &mut self.bank_outbox,
-                num_banks,
+        match &mut self.tracer {
+            Tracer::Off => bank_phase.service(&req_buf, &self.req_order, &mut NoTrace),
+            Tracer::On(sink) => bank_phase.service(
                 &req_buf,
                 &self.req_order,
-                &mut self.seq_scratch,
-                tracing,
-            );
+                &mut SinkTrace {
+                    sink: sink.as_mut(),
+                    now,
+                },
+            ),
         }
         self.req_buf = req_buf;
         clock.lap(Phase::BankService);
-        self.drain_shard_traces(now);
-        self.merge_new_dirty_banks();
+        merge_sorted(
+            &mut self.dirty_banks,
+            &self.new_dirty_banks,
+            &mut self.bank_scratch,
+        );
+        self.new_dirty_banks.clear();
         clock.lap(Phase::CrossShardMerge);
 
         // Phase 2: flush bank outboxes into the response network, in bank
-        // id order (deterministic for every shard count).
+        // id order.
         if !self.dirty_banks.is_empty() {
             let mut still_dirty = std::mem::take(&mut self.bank_scratch);
             still_dirty.clear();
@@ -1092,73 +1056,70 @@ impl Machine {
 
         // Phase 4: step the cores (fast: due cores + superblock run-
         // ahead; reference: every core with eager parked accounting).
-        if self.cfg.exec_mode == ExecMode::Fast {
+        let fast = self.cfg.exec_mode == ExecMode::Fast;
+        if fast {
             self.calendar.pop_due(now, &mut self.pending_wake);
             self.merge_pending_wakes();
         }
-        self.reset_scratch();
         // Superblocks may run ahead to the run loop's horizon; outside
         // `run`/`run_until` the horizon collapses to `now` (exactly one
         // instruction per visit, like the reference stepper).
         let horizon = self.step_limit.max(now);
-        let core_job = Job::Cores {
-            cores: self.cores.as_mut_ptr(),
-            qnodes: self.qnodes.as_mut_ptr(),
-            core_outbox: self.core_outbox.as_mut_ptr(),
-            park_kind: self.park_kind.as_mut_ptr(),
-            runnable: self.runnable.as_ptr(),
-            runnable_len: self.runnable.len(),
-            program: Arc::as_ptr(&self.program),
-            translation: self.translation.as_deref().map_or(std::ptr::null(), |t| t),
+        let mut core_phase = CorePhase {
+            cores: &mut self.cores,
+            qnodes: &mut self.qnodes,
+            core_outbox: &mut self.core_outbox,
+            park_kind: &mut self.park_kind,
+            program: &self.program,
             cfg: &self.cfg,
             num_banks,
-            now,
-            horizon,
-            tracing,
+            new_dirty_cores: &mut self.new_dirty_cores,
+            track_dirty: fast,
+            debug_log: &mut self.debug_log,
+            halted: &mut self.halted,
+            barrier_waiting: &mut self.barrier_waiting,
         };
-        if let Some(pool) = &mut self.pool {
-            pool.dispatch(core_job);
-        } else {
-            let mut ctx = CorePhase {
-                core_lo: 0,
-                cores: &mut self.cores,
-                qnodes: &mut self.qnodes,
-                core_outbox: &mut self.core_outbox,
-                park_kind: &mut self.park_kind,
-                program: &self.program,
-                cfg: &self.cfg,
-                num_banks,
-            };
-            match self.translation.as_deref() {
-                Some(translation) => phases::step_translated_cores(
-                    &mut ctx,
-                    translation,
-                    &self.runnable,
-                    now,
-                    horizon,
-                    &mut self.seq_scratch,
-                    tracing,
-                ),
-                None => phases::step_all_cores(&mut ctx, now, &mut self.seq_scratch, tracing),
+        let (runnable, kept) = (&self.runnable, &mut self.kept_runnable);
+        let stepped = match (&mut self.tracer, self.translation.as_deref()) {
+            (Tracer::Off, Some(t)) => {
+                core_phase.step_runnable(t, runnable, now, horizon, kept, &mut NoTrace)
             }
-        }
+            (Tracer::On(sink), Some(t)) => core_phase.step_runnable(
+                t,
+                runnable,
+                now,
+                horizon,
+                kept,
+                &mut SinkTrace {
+                    sink: sink.as_mut(),
+                    now,
+                },
+            ),
+            (Tracer::Off, None) => core_phase.step_all(now, &mut NoTrace),
+            (Tracer::On(sink), None) => core_phase.step_all(
+                now,
+                &mut SinkTrace {
+                    sink: sink.as_mut(),
+                    now,
+                },
+            ),
+        };
         clock.lap(Phase::CoreStep);
-        let step_error = self.merge_core_phase(now);
-        clock.lap(Phase::CrossShardMerge);
-        if let Some(err) = step_error {
-            return Err(err);
+        if fast {
+            self.merge_core_phase(now);
         }
+        clock.lap(Phase::CrossShardMerge);
+        stepped?;
 
-        // Sequential sub-phase: barrier release. Deferred here so the
-        // accounting is independent of the stepping order (and therefore
-        // of the shard count).
+        // Barrier release, deferred here so the accounting is independent
+        // of the stepping order.
         self.release_barrier_if_ready(now);
         clock.lap(Phase::BarrierRelease);
 
         // Phase 5: flush core outboxes into the request network. The start
         // index rotates each cycle so no core gets static injection
         // priority (round-robin arbitration, as in the real fabric).
-        if self.cfg.exec_mode == ExecMode::Fast {
+        if fast {
             if !self.dirty_cores.is_empty() {
                 let n = self.cores.len();
                 let start = match &self.chaos {
@@ -1205,122 +1166,37 @@ impl Machine {
         Ok(())
     }
 
-    /// Number of shards the phases run across.
-    fn shard_count(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::shards)
-    }
-
-    /// Clears every shard scratch for the next parallel phase.
-    fn reset_scratch(&mut self) {
-        match &mut self.pool {
-            Some(pool) => pool.reset_scratch(),
-            None => self.seq_scratch.reset(),
+    /// Folds the fast-mode walk's outputs into the worklists: cores that
+    /// stay `Running` refill the runnable set when due next cycle and go
+    /// to the ready-time calendar otherwise, and the walk's newly dirty
+    /// cores merge into the dirty-core list.
+    fn merge_core_phase(&mut self, now: u64) {
+        self.merge_scratch.clear();
+        for &c in &self.kept_runnable {
+            let ready_at = self.cores[c as usize].ready_at;
+            file_running(
+                &mut self.calendar,
+                &mut self.merge_scratch,
+                c,
+                ready_at,
+                now,
+            );
         }
-    }
-
-    /// Mutable access to shard `s`'s scratch (coordinator, between
-    /// phases).
-    fn scratch_at(&mut self, s: usize) -> &mut ShardScratch {
-        match &mut self.pool {
-            Some(pool) => pool.scratch_mut(s),
-            None => &mut self.seq_scratch,
-        }
-    }
-
-    /// Emits the parallel phase's buffered trace events in shard (= id)
-    /// order — identical to the order a single-sharded walk emits in.
-    fn drain_shard_traces(&mut self, now: u64) {
-        if self.tracer.is_off() {
-            return;
-        }
-        for s in 0..self.shard_count() {
-            let mut buf = std::mem::take(&mut self.scratch_at(s).trace);
-            for event in buf.drain(..) {
-                self.tracer.emit(now, || event);
-            }
-            self.scratch_at(s).trace = buf;
-        }
-    }
-
-    /// Merges the bank phase's empty → non-empty outbox transitions into
-    /// the sorted dirty-bank list.
-    fn merge_new_dirty_banks(&mut self) {
-        for s in 0..self.shard_count() {
-            let add = std::mem::take(&mut self.scratch_at(s).new_dirty_banks);
-            let mut scratch = std::mem::take(&mut self.bank_scratch);
-            merge_sorted(&mut self.dirty_banks, &add, &mut scratch);
-            self.bank_scratch = scratch;
-            self.scratch_at(s).new_dirty_banks = add;
-        }
-    }
-
-    /// Folds the core phase's per-shard outputs into the machine, in shard
-    /// (= core id) order: trace events, debug prints, halt/barrier counts,
-    /// the rebuilt runnable set and the dirty-core merge. Cores that stay
-    /// `Running` but are not due next cycle leave the walked list for the
-    /// ready-time calendar. Returns the lowest-core fatal error, if any
-    /// shard faulted.
-    fn merge_core_phase(&mut self, now: u64) -> Option<SimError> {
-        self.drain_shard_traces(now);
-        let shards = self.shard_count();
-        let fast = self.cfg.exec_mode == ExecMode::Fast;
-        let mut error: Option<(u32, SimError)> = None;
-        if fast {
-            self.merge_scratch.clear();
-        }
-        for s in 0..shards {
-            // Prints → debug log (ascending core order by construction).
-            let mut prints = std::mem::take(&mut self.scratch_at(s).prints);
-            for &(core, value) in &prints {
-                self.debug_log.push((now, core, value));
-            }
-            prints.clear();
-            self.scratch_at(s).prints = prints;
-
-            let (newly_halted, newly_barrier, shard_error) = {
-                let sc = self.scratch_at(s);
-                let err = sc.error.take().map(|e| (sc.error_core, e));
-                (sc.newly_halted, sc.newly_barrier, err)
-            };
-            self.halted += newly_halted as usize;
-            self.barrier_waiting += newly_barrier as usize;
-            if let Some((core, err)) = shard_error {
-                if error.as_ref().is_none_or(|(c, _)| core < *c) {
-                    error = Some((core, err));
-                }
-            }
-            if fast {
-                let kept = std::mem::take(&mut self.scratch_at(s).kept_runnable);
-                for &c in &kept {
-                    let ready_at = self.cores[c as usize].ready_at;
-                    file_running(
-                        &mut self.calendar,
-                        &mut self.merge_scratch,
-                        c,
-                        ready_at,
-                        now,
-                    );
-                }
-                self.scratch_at(s).kept_runnable = kept;
-
-                let add = std::mem::take(&mut self.scratch_at(s).new_dirty_cores);
-                let mut scratch = std::mem::take(&mut self.bank_scratch);
-                merge_sorted(&mut self.dirty_cores, &add, &mut scratch);
-                self.bank_scratch = scratch;
-                self.scratch_at(s).new_dirty_cores = add;
-            }
-        }
-        if fast {
-            std::mem::swap(&mut self.runnable, &mut self.merge_scratch);
-        }
-        error.map(|(_, err)| err)
+        self.kept_runnable.clear();
+        std::mem::swap(&mut self.runnable, &mut self.merge_scratch);
+        merge_sorted(
+            &mut self.dirty_cores,
+            &self.new_dirty_cores,
+            &mut self.bank_scratch,
+        );
+        self.new_dirty_cores.clear();
     }
 
     /// Injects a core's queued requests until the network backpressures.
     fn drain_core_outbox(&mut self, c: usize, now: u64) {
         // Ordinal of the request within this core's drain this cycle —
-        // the chaos request-jitter key (identical across exec modes and
-        // shard counts: the drain is sequential coordinator code).
+        // the chaos request-jitter key (identical across exec modes: the
+        // drain order is fixed by the arbitration start).
         let mut ordinal = 0u32;
         while let Some(&msg) = self.core_outbox[c].front() {
             let extra = match &self.chaos {
@@ -1388,7 +1264,7 @@ impl Machine {
         }
     }
 
-    /// Queues a request on a core's outbox (sequential Phase 3 path),
+    /// Queues a request on a core's outbox (Phase 3 path),
     /// tracking outbox dirtiness for the event-driven Phase 5.
     fn push_outbox(&mut self, c: usize, msg: ReqMsg) {
         self.core_outbox[c].push_back(msg);
@@ -1479,9 +1355,9 @@ impl Machine {
 
     /// Releases the barrier when every still-running core has arrived.
     ///
-    /// Runs once per cycle, single-threaded, *after* the stepping phase —
-    /// never inside it — so the accounting is independent of the order
-    /// cores were visited in (and therefore of the shard count): every
+    /// Runs once per cycle, *after* the stepping phase — never inside it —
+    /// so the accounting is independent of the order cores were visited
+    /// in: every
     /// released core is charged `now − parked_at` barrier cycles, exactly
     /// what the reference's eager one-per-Phase-4-visit counting adds up
     /// to, and re-enters the runnable set with `ready_at = now + 1` and its
@@ -1539,8 +1415,8 @@ impl Machine {
     /// Restoring the buffer with [`Machine::restore`] and continuing is
     /// bit-identical to never having stopped: summaries, statistics,
     /// benchmark CSV bytes and trace-event suffixes all match, across
-    /// execution modes and shard counts (the snapshot holds no mode- or
-    /// shard-dependent state: lazily-accounted parked cycles are settled
+    /// execution modes (the snapshot holds no mode-dependent state:
+    /// lazily-accounted parked cycles are settled
     /// into the statistics at snapshot time, and the runnable/dirty
     /// worklists are recomputed on restore).
     ///
@@ -1663,8 +1539,8 @@ impl Machine {
     ///
     /// The machine must have been built with the same geometry (cores,
     /// banks, SPM size) and synchronization architecture the snapshot was
-    /// taken with; execution mode, shard count and tracing may all differ
-    /// — continuing from the restored state is bit-identical to the
+    /// taken with; execution mode and tracing may both differ —
+    /// continuing from the restored state is bit-identical to the
     /// uninterrupted run in any combination. A tracing machine emits the
     /// uninterrupted stream's suffix (after its own `Start` event).
     ///

@@ -1,38 +1,26 @@
-//! The bodies of `Machine::step_cycle`'s two data-parallel phases —
-//! per-bank request service and per-core stepping — extracted so they can
-//! run either inline (one shard, the default) or on the persistent worker
-//! pool (`crate::shard`), over a *contiguous range* of banks or cores.
+//! The bodies of `Machine::step_cycle`'s per-bank and per-core phases —
+//! request service and core stepping — kept apart from the machine so
+//! each can be monomorphized over its trace context.
 //!
-//! # Why ranges make parallelism deterministic
-//!
-//! Within one cycle, all cross-bank and cross-core work is commutative:
-//! a bank adapter touches only its own words, queue state and outbox, and
-//! a stepping core touches only its own registers, Qnode and request
-//! outbox. The only ordering-sensitive artifacts a parallel phase produces
-//! are *merge lists* — which banks became ready to flush, which cores
-//! became runnable or dirty, which trace events and debug prints occurred.
-//! Each shard accumulates those into its own [`ShardScratch`] in ascending
-//! id order; because shard ranges are contiguous and themselves ordered,
-//! concatenating the shard scratches in shard order reproduces exactly the
-//! global ascending-id order a single-sharded walk produces. Every merge
-//! the coordinator performs is therefore a deterministic, bank-id- (or
-//! core-id-) ordered merge — the machine's determinism contract.
+//! Both walks run in ascending id order (bank id, then delivery index;
+//! core id), so the lists they produce for the machine's sorted-list
+//! merges — banks whose outbox became non-empty, cores that stay runnable
+//! or gained outgoing requests — come out sorted.
 //!
 //! # Tracing without branches
 //!
 //! Both phase bodies are generic over a [`TraceCtx`]: the untraced
-//! instantiation ([`NoTrace`]) compiles every emit site to nothing — the
-//! per-step `is_off()` branch the previous implementation paid is gone
-//! entirely from the hot loop (one branch per *phase* per cycle selects
-//! the instantiation). The traced instantiation ([`BufTrace`]) appends to
-//! a per-shard buffer that the coordinator drains in shard order, so the
-//! observed event stream is identical for any shard count.
+//! instantiation ([`NoTrace`]) compiles every emit site to nothing, so
+//! the hot loop carries no per-step `is_off()` branch (one branch per
+//! *phase* per cycle selects the instantiation). The traced
+//! instantiation ([`SinkTrace`]) records straight into the attached sink,
+//! stamped with the current cycle.
 
 use std::collections::VecDeque;
 
 use lrscwait_core::{MemRequest, MemResponse, Qnode, SyncAdapter, WordStorage};
 use lrscwait_isa::AmoOp;
-use lrscwait_trace::{OpKind, TraceEvent};
+use lrscwait_trace::{OpKind, TraceEvent, TraceSink};
 
 use crate::config::{mmio_reg, SimConfig, MMIO_BASE, MMIO_SIZE, NUM_ARGS, ROM_BASE};
 use crate::cpu::{
@@ -88,10 +76,9 @@ impl WordStorage for BankView<'_> {
 
 /// Trace-emission context a phase body is monomorphized over.
 ///
-/// [`NoTrace`] (untraced runs) compiles every emit site away; [`BufTrace`]
-/// appends to a per-shard buffer the coordinator later drains in shard
-/// order. Either way the phase body itself contains no per-event
-/// `is_off()` branch.
+/// [`NoTrace`] (untraced runs) compiles every emit site away;
+/// [`SinkTrace`] records into the attached sink. Either way the phase
+/// body itself contains no per-event `is_off()` branch.
 pub(crate) trait TraceCtx {
     /// Whether events are recorded (drives the few sites that maintain
     /// trace-only side state, e.g. the park-cause table).
@@ -109,171 +96,87 @@ impl TraceCtx for NoTrace {
     fn emit(&mut self, _event: impl FnOnce() -> TraceEvent) {}
 }
 
-/// Buffering trace context: events land in the shard's scratch buffer in
-/// emission order (ascending bank/core id within the shard).
-pub(crate) struct BufTrace<'a>(pub &'a mut Vec<TraceEvent>);
+/// Traced context: every event goes to the sink, stamped `now`.
+pub(crate) struct SinkTrace<'a> {
+    pub sink: &'a mut dyn TraceSink,
+    pub now: u64,
+}
 
-impl TraceCtx for BufTrace<'_> {
+impl TraceCtx for SinkTrace<'_> {
     const ENABLED: bool = true;
     #[inline]
     fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
-        self.0.push(event());
+        self.sink.record(self.now, event());
     }
 }
 
-/// Per-shard accumulation state. One instance per shard lives in the
-/// `Machine`; all vectors reach a steady-state capacity and are reused,
-/// so sharded cycles stay allocation-free.
-#[derive(Debug, Default)]
-pub(crate) struct ShardScratch {
+/// The per-bank request-service phase: mutable access to every bank's
+/// words, adapter and response outbox.
+pub(crate) struct BankPhase<'a> {
+    pub banks: &'a mut [Vec<u32>],
+    pub adapters: &'a mut [Box<dyn SyncAdapter>],
+    pub bank_outbox: &'a mut [VecDeque<RespMsg>],
+    pub num_banks: u32,
     /// Reusable response buffer handed to `SyncAdapter::handle`.
-    pub adapter_out: Vec<(u32, MemResponse)>,
-    /// Banks whose outbox went empty → non-empty this cycle (ascending).
-    pub new_dirty_banks: Vec<u32>,
-    /// Runnable cores that stay runnable after stepping (ascending).
-    pub kept_runnable: Vec<u32>,
-    /// Cores whose request outbox went empty → non-empty (ascending).
-    pub new_dirty_cores: Vec<u32>,
-    /// MMIO debug prints this cycle: `(core, value)` (ascending core).
-    pub prints: Vec<(u32, u32)>,
-    /// Cores that halted during this phase.
-    pub newly_halted: u32,
-    /// Cores that arrived at the barrier during this phase.
-    pub newly_barrier: u32,
-    /// First fatal error in this shard (lowest core id within the shard).
-    pub error: Option<SimError>,
-    /// Core id the error occurred on (for cross-shard arbitration).
-    pub error_core: u32,
-    /// Buffered trace events (only populated when a sink is attached).
-    pub trace: Vec<TraceEvent>,
+    pub adapter_out: &'a mut Vec<(u32, MemResponse)>,
+    /// Banks whose outbox went empty → non-empty (ascending).
+    pub new_dirty_banks: &'a mut Vec<u32>,
 }
 
-impl ShardScratch {
-    /// Clears all per-cycle accumulators (capacity is retained).
-    pub fn reset(&mut self) {
-        self.new_dirty_banks.clear();
-        self.kept_runnable.clear();
-        self.new_dirty_cores.clear();
-        self.prints.clear();
-        self.newly_halted = 0;
-        self.newly_barrier = 0;
-        self.error = None;
-        self.error_core = 0;
-        debug_assert!(self.trace.is_empty(), "trace buffer drained every cycle");
+impl BankPhase<'_> {
+    /// Services the cycle's delivered requests `reqs` in `order` — the
+    /// delivery list sorted by `(bank, delivery index)`: the adapter
+    /// performs its side effects on the bank words and appends responses
+    /// to the bank's outbox.
+    pub(crate) fn service<T: TraceCtx>(
+        &mut self,
+        reqs: &[ReqMsg],
+        order: &[(u32, u32)],
+        trace: &mut T,
+    ) {
+        for &(bank, idx) in order {
+            let msg = &reqs[idx as usize];
+            debug_assert_eq!(msg.bank, bank);
+            let b = bank as usize;
+            let mut view = BankView {
+                words: &mut self.banks[b],
+                num_banks: self.num_banks,
+                bank,
+            };
+            self.adapter_out.clear();
+            if T::ENABLED {
+                self.adapters[b].handle_traced(
+                    msg.src,
+                    &msg.req,
+                    &mut view,
+                    self.adapter_out,
+                    &mut |event| {
+                        trace.emit(|| TraceEvent::Sync { bank, event });
+                    },
+                );
+            } else {
+                self.adapters[b].handle(msg.src, &msg.req, &mut view, self.adapter_out);
+            }
+            let outbox = &mut self.bank_outbox[b];
+            if outbox.is_empty() && !self.adapter_out.is_empty() {
+                self.new_dirty_banks.push(bank);
+            }
+            for (core, resp) in self.adapter_out.drain(..) {
+                outbox.push_back(RespMsg { core, resp });
+            }
+        }
     }
 }
 
-/// Services every delivered request whose destination bank lies in
-/// `[bank_lo, bank_lo + banks.len())`, in bank-id order (and, within one
-/// bank, in delivery order): the adapter performs its side effects on the
-/// bank words and appends responses to the bank's outbox.
+/// The per-core stepping phase.
 ///
-/// `order` is the cycle's full delivery list sorted by `(bank, delivery
-/// index)`; the caller has already narrowed it to this shard's banks.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn service_banks(
-    bank_lo: u32,
-    banks: &mut [Vec<u32>],
-    adapters: &mut [Box<dyn SyncAdapter>],
-    bank_outbox: &mut [VecDeque<RespMsg>],
-    num_banks: u32,
-    reqs: &[ReqMsg],
-    order: &[(u32, u32)],
-    scratch: &mut ShardScratch,
-    tracing: bool,
-) {
-    let ShardScratch {
-        adapter_out,
-        new_dirty_banks,
-        trace,
-        ..
-    } = scratch;
-    if tracing {
-        service_banks_inner(
-            bank_lo,
-            banks,
-            adapters,
-            bank_outbox,
-            num_banks,
-            reqs,
-            order,
-            adapter_out,
-            new_dirty_banks,
-            &mut BufTrace(trace),
-        );
-    } else {
-        service_banks_inner(
-            bank_lo,
-            banks,
-            adapters,
-            bank_outbox,
-            num_banks,
-            reqs,
-            order,
-            adapter_out,
-            new_dirty_banks,
-            &mut NoTrace,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn service_banks_inner<T: TraceCtx>(
-    bank_lo: u32,
-    banks: &mut [Vec<u32>],
-    adapters: &mut [Box<dyn SyncAdapter>],
-    bank_outbox: &mut [VecDeque<RespMsg>],
-    num_banks: u32,
-    reqs: &[ReqMsg],
-    order: &[(u32, u32)],
-    adapter_out: &mut Vec<(u32, MemResponse)>,
-    new_dirty_banks: &mut Vec<u32>,
-    trace: &mut T,
-) {
-    for &(bank, idx) in order {
-        let msg = &reqs[idx as usize];
-        debug_assert_eq!(msg.bank, bank);
-        let local = (bank - bank_lo) as usize;
-        let mut view = BankView {
-            words: &mut banks[local],
-            num_banks,
-            bank,
-        };
-        adapter_out.clear();
-        if T::ENABLED {
-            adapters[local].handle_traced(
-                msg.src,
-                &msg.req,
-                &mut view,
-                adapter_out,
-                &mut |event| {
-                    trace.emit(|| TraceEvent::Sync { bank, event });
-                },
-            );
-        } else {
-            adapters[local].handle(msg.src, &msg.req, &mut view, adapter_out);
-        }
-        let outbox = &mut bank_outbox[local];
-        if outbox.is_empty() && !adapter_out.is_empty() {
-            new_dirty_banks.push(bank);
-        }
-        for (core, resp) in adapter_out.drain(..) {
-            outbox.push_back(RespMsg { core, resp });
-        }
-    }
-}
-
-/// The per-core stepping phase over one contiguous shard of cores.
-///
-/// Owns mutable access to the shard's cores, Qnodes, request outboxes and
+/// Owns mutable access to the cores, Qnodes, request outboxes and
 /// park-cause table, plus the shared read-only program and configuration.
-/// All ordering-sensitive side effects (halt/barrier counts, debug prints,
-/// newly-dirty cores, trace events) go to the [`ShardScratch`]; barrier
-/// *release* is deferred to the machine's sequential sub-phase, which is
-/// what makes stepping shardable in the first place.
+/// Halts, barrier arrivals and debug prints are recorded straight into the
+/// machine's counters and log; barrier *release* is deferred to the
+/// machine's sub-phase after the walk, so its accounting never depends on
+/// visit order.
 pub(crate) struct CorePhase<'a> {
-    /// First global core id of this shard.
-    pub core_lo: u32,
     pub cores: &'a mut [Core],
     pub qnodes: &'a mut [Qnode],
     pub core_outbox: &'a mut [VecDeque<ReqMsg>],
@@ -281,187 +184,76 @@ pub(crate) struct CorePhase<'a> {
     pub program: &'a DecodedProgram,
     pub cfg: &'a SimConfig,
     pub num_banks: u32,
-}
-
-/// Steps this shard's slice of the runnable set ([`ExecMode::Fast`]),
-/// compacting cores that stay `Running` into `scratch.kept_runnable`. A
-/// runnable core whose pc enters a superblock executes the whole block
-/// (up to `horizon`) in one call instead of one instruction.
-///
-/// `runnable` must be the ascending sub-slice of the global runnable set
-/// that falls inside this shard's core range. On a fatal error the
-/// unstepped tail is preserved in the kept list (post-mortem state), the
-/// error recorded in the scratch, and stepping stops.
-///
-/// [`ExecMode::Fast`]: crate::ExecMode::Fast
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step_translated_cores(
-    ctx: &mut CorePhase<'_>,
-    translation: &Translation,
-    runnable: &[u32],
-    now: u64,
-    horizon: u64,
-    scratch: &mut ShardScratch,
-    tracing: bool,
-) {
-    let ShardScratch {
-        kept_runnable,
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        error,
-        error_core,
-        trace,
-        ..
-    } = scratch;
-    let mut out = StepOut {
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        track_dirty: true,
-    };
-    if tracing {
-        walk_translated(
-            ctx,
-            translation,
-            runnable,
-            now,
-            horizon,
-            kept_runnable,
-            &mut out,
-            error,
-            error_core,
-            &mut BufTrace(trace),
-        );
-    } else {
-        walk_translated(
-            ctx,
-            translation,
-            runnable,
-            now,
-            horizon,
-            kept_runnable,
-            &mut out,
-            error,
-            error_core,
-            &mut NoTrace,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk_translated<T: TraceCtx>(
-    ctx: &mut CorePhase<'_>,
-    translation: &Translation,
-    runnable: &[u32],
-    now: u64,
-    horizon: u64,
-    kept_runnable: &mut Vec<u32>,
-    out: &mut StepOut<'_>,
-    error: &mut Option<SimError>,
-    error_core: &mut u32,
-    trace: &mut T,
-) {
-    for (i, &c) in runnable.iter().enumerate() {
-        let result = ctx.step_core_translated(c, translation, now, horizon, out, trace);
-        // The keep check runs even for a faulting core: a core that is
-        // still `Running` after its fatal error (e.g. a breakpoint)
-        // stays in the set, like every other observable of the
-        // post-mortem state.
-        if ctx.cores[(c - ctx.core_lo) as usize].state == CoreState::Running {
-            kept_runnable.push(c);
-        }
-        if let Err(e) = result {
-            *error = Some(e);
-            *error_core = c;
-            // Preserve the unstepped tail so the machine state stays
-            // consistent for post-mortem inspection.
-            kept_runnable.extend_from_slice(&runnable[i + 1..]);
-            return;
-        }
-    }
-}
-
-/// Visits every core of this shard (reference mode): eager accounting for
-/// parked states, then the shared running-core step.
-pub(crate) fn step_all_cores(
-    ctx: &mut CorePhase<'_>,
-    now: u64,
-    scratch: &mut ShardScratch,
-    tracing: bool,
-) {
-    let ShardScratch {
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        error,
-        error_core,
-        trace,
-        ..
-    } = scratch;
-    let mut out = StepOut {
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        // The reference stepper drains every outbox each cycle and never
-        // reads the dirty set; recording it would only grow the merge.
-        track_dirty: false,
-    };
-    if tracing {
-        walk_all(ctx, now, &mut out, error, error_core, &mut BufTrace(trace));
-    } else {
-        walk_all(ctx, now, &mut out, error, error_core, &mut NoTrace);
-    }
-}
-
-fn walk_all<T: TraceCtx>(
-    ctx: &mut CorePhase<'_>,
-    now: u64,
-    out: &mut StepOut<'_>,
-    error: &mut Option<SimError>,
-    error_core: &mut u32,
-    trace: &mut T,
-) {
-    let n = ctx.cores.len() as u32;
-    for c in ctx.core_lo..ctx.core_lo + n {
-        let local = (c - ctx.core_lo) as usize;
-        match ctx.cores[local].state {
-            CoreState::Halted => continue,
-            CoreState::Barrier => {
-                ctx.cores[local].stats.barrier_cycles += 1;
-                continue;
-            }
-            CoreState::WaitingMem => {
-                ctx.cores[local].stats.sleep_cycles += 1;
-                continue;
-            }
-            CoreState::Running => {}
-        }
-        if let Err(e) = ctx.step_running_core(c, now, out, trace) {
-            *error = Some(e);
-            *error_core = c;
-            return;
-        }
-    }
-}
-
-/// The ordering-sensitive outputs of a stepping walk (a borrowed-apart
-/// view of the shard scratch).
-pub(crate) struct StepOut<'a> {
-    new_dirty_cores: &'a mut Vec<u32>,
-    prints: &'a mut Vec<(u32, u32)>,
-    newly_halted: &'a mut u32,
-    newly_barrier: &'a mut u32,
-    track_dirty: bool,
+    /// Cores whose request outbox went empty → non-empty (ascending).
+    pub new_dirty_cores: &'a mut Vec<u32>,
+    /// Whether to record `new_dirty_cores`: the reference stepper drains
+    /// every outbox each cycle and never reads the dirty set.
+    pub track_dirty: bool,
+    /// MMIO debug prints: `(cycle, core, value)`.
+    pub debug_log: &'a mut Vec<(u64, u32, u32)>,
+    /// The machine's halted-core count.
+    pub halted: &'a mut usize,
+    /// The machine's count of cores waiting at the barrier.
+    pub barrier_waiting: &'a mut usize,
 }
 
 impl CorePhase<'_> {
-    fn local(&self, c: u32) -> usize {
-        (c - self.core_lo) as usize
+    /// Steps the runnable set ([`ExecMode::Fast`]), collecting cores that
+    /// stay `Running` into `kept_runnable`. A runnable core whose pc
+    /// enters a superblock executes the whole block (up to `horizon`) in
+    /// one call instead of one instruction.
+    ///
+    /// `runnable` must be ascending. On a fatal error the unstepped tail
+    /// is preserved in the kept list (post-mortem state) and stepping
+    /// stops.
+    ///
+    /// [`ExecMode::Fast`]: crate::ExecMode::Fast
+    pub(crate) fn step_runnable<T: TraceCtx>(
+        &mut self,
+        translation: &Translation,
+        runnable: &[u32],
+        now: u64,
+        horizon: u64,
+        kept_runnable: &mut Vec<u32>,
+        trace: &mut T,
+    ) -> Result<(), SimError> {
+        for (i, &c) in runnable.iter().enumerate() {
+            let result = self.step_core_translated(c, translation, now, horizon, trace);
+            // The keep check runs even for a faulting core: a core that is
+            // still `Running` after its fatal error (e.g. a breakpoint)
+            // stays in the set, like every other observable of the
+            // post-mortem state.
+            if self.cores[c as usize].state == CoreState::Running {
+                kept_runnable.push(c);
+            }
+            if result.is_err() {
+                // Preserve the unstepped tail so the machine state stays
+                // consistent for post-mortem inspection.
+                kept_runnable.extend_from_slice(&runnable[i + 1..]);
+                return result;
+            }
+        }
+        Ok(())
+    }
+
+    /// Visits every core (reference mode): eager accounting for parked
+    /// states, then the shared running-core step. Stops at the first
+    /// fatal error.
+    pub(crate) fn step_all<T: TraceCtx>(
+        &mut self,
+        now: u64,
+        trace: &mut T,
+    ) -> Result<(), SimError> {
+        for c in 0..self.cores.len() as u32 {
+            let core = &mut self.cores[c as usize];
+            match core.state {
+                CoreState::Halted => {}
+                CoreState::Barrier => core.stats.barrier_cycles += 1,
+                CoreState::WaitingMem => core.stats.sleep_cycles += 1,
+                CoreState::Running => self.step_running_core(c, now, trace)?,
+            }
+        }
+        Ok(())
     }
 
     /// Bank holding the word at `addr`.
@@ -481,16 +273,15 @@ impl CorePhase<'_> {
         &mut self,
         c: u32,
         now: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) -> Result<(), SimError> {
-        let i = self.local(c);
+        let i = c as usize;
         if now < self.cores[i].ready_at || self.core_outbox[i].len() >= 4 {
             self.cores[i].stats.stall_cycles += 1;
             return Ok(());
         }
         self.cores[i].stats.active_cycles += 1;
-        self.interp_step(c, now, out, trace)
+        self.interp_step(c, now, trace)
     }
 
     /// Steps one runnable core in fast mode. Scheduling guards are
@@ -509,10 +300,9 @@ impl CorePhase<'_> {
         translation: &Translation,
         now: u64,
         horizon: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) -> Result<(), SimError> {
-        let i = self.local(c);
+        let i = c as usize;
         let core = &mut self.cores[i];
         if now < core.ready_at || self.core_outbox[i].len() >= 4 {
             if now > core.charged_until {
@@ -530,7 +320,7 @@ impl CorePhase<'_> {
             return Ok(());
         }
         core.stats.active_cycles += 1;
-        self.interp_step(c, now, out, trace)
+        self.interp_step(c, now, trace)
     }
 
     /// Executes exactly one instruction on core `c` through the decoded-
@@ -540,10 +330,9 @@ impl CorePhase<'_> {
         &mut self,
         c: u32,
         now: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) -> Result<(), SimError> {
-        let i = self.local(c);
+        let i = c as usize;
         let action = {
             let program = self.program;
             let timing = self.cfg.timing;
@@ -571,20 +360,20 @@ impl CorePhase<'_> {
         match action {
             Action::Done => Ok(()),
             Action::Halt => {
-                self.halt_core(c, out, trace);
+                self.halt_core(c, trace);
                 Ok(())
             }
-            Action::Mem(intent) => self.apply_intent(c, intent, now, out, trace),
+            Action::Mem(intent) => self.apply_intent(c, intent, now, trace),
         }
     }
 
     /// Marks a core halted. The barrier-release check this may enable runs
-    /// in the machine's sequential sub-phase after the stepping walk.
-    fn halt_core<T: TraceCtx>(&mut self, c: u32, out: &mut StepOut<'_>, trace: &mut T) {
-        let i = self.local(c);
+    /// in the machine's sub-phase after the stepping walk.
+    fn halt_core<T: TraceCtx>(&mut self, c: u32, trace: &mut T) {
+        let i = c as usize;
         if self.cores[i].state != CoreState::Halted {
             self.cores[i].state = CoreState::Halted;
-            *out.newly_halted += 1;
+            *self.halted += 1;
             trace.emit(|| TraceEvent::Halt { core: c });
         }
     }
@@ -594,10 +383,9 @@ impl CorePhase<'_> {
         c: u32,
         intent: MemIntent,
         now: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) -> Result<(), SimError> {
-        let i = self.local(c);
+        let i = c as usize;
         match intent {
             MemIntent::Fence => {
                 if self.cores[i].outstanding_stores == 0 && self.core_outbox[i].is_empty() {
@@ -647,13 +435,13 @@ impl CorePhase<'_> {
                 self.cores[i].parked_at = now;
                 self.cores[i].pc += 4;
                 self.emit_park(c, OpKind::Load, trace);
-                self.push_request(c, MemRequest::Load { addr: addr & !3 }, out, trace);
+                self.push_request(c, MemRequest::Load { addr: addr & !3 }, trace);
                 Ok(())
             }
             MemIntent::Store { addr, value, width } => {
                 if (MMIO_BASE..MMIO_BASE + MMIO_SIZE).contains(&addr) {
                     self.cores[i].pc += 4;
-                    self.mmio_write(c, addr - MMIO_BASE, value, now, out, trace);
+                    self.mmio_write(c, addr - MMIO_BASE, value, now, trace);
                     return Ok(());
                 }
                 if addr >= self.cfg.spm_bytes {
@@ -676,7 +464,6 @@ impl CorePhase<'_> {
                         value: lane_value,
                         mask,
                     },
-                    out,
                     trace,
                 );
                 Ok(())
@@ -732,7 +519,7 @@ impl CorePhase<'_> {
                 self.cores[i].parked_at = now;
                 self.cores[i].pc += 4;
                 self.emit_park(c, amo_op_kind(op), trace);
-                self.push_request(c, req, out, trace);
+                self.push_request(c, req, trace);
                 Ok(())
             }
         }
@@ -743,7 +530,7 @@ impl CorePhase<'_> {
     /// that machine state (and hence snapshots) does not depend on whether
     /// tracing is enabled; only the event emission is gated.
     fn emit_park<T: TraceCtx>(&mut self, c: u32, kind: OpKind, trace: &mut T) {
-        self.park_kind[self.local(c)] = kind;
+        self.park_kind[c as usize] = kind;
         if T::ENABLED {
             trace.emit(|| TraceEvent::Park {
                 core: c,
@@ -752,21 +539,15 @@ impl CorePhase<'_> {
         }
     }
 
-    fn push_request<T: TraceCtx>(
-        &mut self,
-        c: u32,
-        req: MemRequest,
-        out: &mut StepOut<'_>,
-        trace: &mut T,
-    ) {
-        let wakeup = self.qnodes[self.local(c)].on_core_request(&req);
+    fn push_request<T: TraceCtx>(&mut self, c: u32, req: MemRequest, trace: &mut T) {
+        let wakeup = self.qnodes[c as usize].on_core_request(&req);
         let bank = self.bank_of(req.addr());
         trace.emit(|| TraceEvent::ReqSent {
             core: c,
             bank,
             kind: req_kind(&req),
         });
-        self.push_outbox(c, ReqMsg { src: c, bank, req }, out);
+        self.push_outbox(c, ReqMsg { src: c, bank, req });
         if let Some(wk) = wakeup {
             let wk_bank = self.bank_of(wk.addr());
             trace.emit(|| TraceEvent::ReqSent {
@@ -781,17 +562,16 @@ impl CorePhase<'_> {
                     bank: wk_bank,
                     req: wk,
                 },
-                out,
             );
         }
     }
 
     /// Queues a request on the core's own outbox, recording the empty →
     /// non-empty transition for the fast-mode Phase 5 merge.
-    fn push_outbox(&mut self, c: u32, msg: ReqMsg, out: &mut StepOut<'_>) {
-        let i = self.local(c);
-        if out.track_dirty && self.core_outbox[i].is_empty() {
-            out.new_dirty_cores.push(c);
+    fn push_outbox(&mut self, c: u32, msg: ReqMsg) {
+        let i = c as usize;
+        if self.track_dirty && self.core_outbox[i].is_empty() {
+            self.new_dirty_cores.push(c);
         }
         self.core_outbox[i].push_back(msg);
     }
@@ -816,12 +596,11 @@ impl CorePhase<'_> {
         offset: u32,
         value: u32,
         now: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) {
-        let i = self.local(c);
+        let i = c as usize;
         match offset {
-            mmio_reg::EXIT => self.halt_core(c, out, trace),
+            mmio_reg::EXIT => self.halt_core(c, trace),
             mmio_reg::OP_COUNT => self.cores[i].stats.ops += u64::from(value),
             mmio_reg::REGION => {
                 if value != 0 {
@@ -836,15 +615,15 @@ impl CorePhase<'_> {
             }
             mmio_reg::BARRIER => {
                 // Arrival only: the release check (and its accounting) runs
-                // once per cycle in the machine's sequential sub-phase, so
-                // it never races across shards and charges every released
-                // core identically regardless of visit order.
+                // once per cycle in the machine's sub-phase after the walk,
+                // so it charges every released core identically regardless
+                // of visit order.
                 self.cores[i].state = CoreState::Barrier;
                 self.cores[i].parked_at = now;
-                *out.newly_barrier += 1;
+                *self.barrier_waiting += 1;
                 trace.emit(|| TraceEvent::BarrierArrive { core: c });
             }
-            mmio_reg::PRINT => out.prints.push((c, value)),
+            mmio_reg::PRINT => self.debug_log.push((now, c, value)),
             _ => {}
         }
     }

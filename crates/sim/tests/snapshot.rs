@@ -1,8 +1,8 @@
 //! Checkpoint/restore differential suite: running to cycle `N` must be
 //! bit-identical to running to cycle `K`, snapshotting, restoring (into a
 //! fresh machine) and continuing to `N` — on summaries, statistics, the
-//! debug log and trace-event streams — for every combination of execution
-//! mode and shard count on *both* sides of the snapshot, and across the
+//! debug log and trace-event streams — for either execution mode on
+//! *both* sides of the snapshot, and across the
 //! synchronization architectures. The interrupt points are deliberately
 //! chosen to land mid-wait (parked cores, armed monitors, populated
 //! reservation queues) and mid-flight (flits in both networks).
@@ -12,23 +12,17 @@ use lrscwait_core::SyncArch;
 use lrscwait_sim::{ExecMode, ExitReason, Machine, SimConfig, SimError};
 use lrscwait_trace::{OpKind, RecordingSink, SharedSink, TraceEvent, WakeCause};
 
-/// Mode/shard combinations exercised on each side of a snapshot.
-const COMBOS: [(ExecMode, usize); 4] = [
-    (ExecMode::Fast, 1),
-    (ExecMode::Reference, 1),
-    (ExecMode::Fast, 3),
-    (ExecMode::Reference, 2),
-];
+/// Execution modes exercised on each side of a snapshot.
+const MODES: [ExecMode; 2] = [ExecMode::Fast, ExecMode::Reference];
 
-fn configured(base: SimConfig, mode: ExecMode, shards: usize) -> SimConfig {
+fn configured(base: SimConfig, mode: ExecMode) -> SimConfig {
     let mut cfg = base;
     cfg.exec_mode = mode;
-    cfg.shards = shards;
     cfg
 }
 
 /// Asserts `run-to-end` ≡ `run-to-k + snapshot + restore + run-to-end`
-/// for every (mode, shards) pair on both sides of the snapshot.
+/// for every mode pair on both sides of the snapshot.
 fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str) {
     let program = Assembler::new().assemble(src).expect("assembles");
     let decoded = Machine::decode(&program).expect("decodes");
@@ -46,25 +40,25 @@ fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str
         "{what}: interrupt point is mid-run"
     );
 
-    for (mode_a, shards_a) in COMBOS {
-        let cfg_a = configured(base_cfg, mode_a, shards_a);
+    for mode_a in MODES {
+        let cfg_a = configured(base_cfg, mode_a);
         let mut first = Machine::with_decoded(cfg_a, decoded.clone()).expect("loads");
         let stop = first.run_until(k).expect("run to interrupt");
         assert_eq!(
             stop.exit,
             ExitReason::TargetReached,
-            "{what}: {mode_a:?}/{shards_a} stops at the target"
+            "{what}: {mode_a:?} stops at the target"
         );
-        assert_eq!(stop.cycles, k, "{what}: {mode_a:?}/{shards_a} exact stop");
+        assert_eq!(stop.cycles, k, "{what}: {mode_a:?} exact stop");
         let bytes = first.snapshot();
 
-        for (mode_b, shards_b) in COMBOS {
-            let cfg_b = configured(base_cfg, mode_b, shards_b);
+        for mode_b in MODES {
+            let cfg_b = configured(base_cfg, mode_b);
             let mut second = Machine::with_decoded(cfg_b, decoded.clone()).expect("loads");
             second.restore(&bytes).expect("restore");
             assert_eq!(second.cycles(), k, "restored cycle counter");
             let summary = second.run().expect("resumed run");
-            let ctx = format!("{what}: {mode_a:?}/{shards_a} → {mode_b:?}/{shards_b}");
+            let ctx = format!("{what}: {mode_a:?} → {mode_b:?}");
             assert_eq!(base_summary, summary, "{ctx}: run summary");
             assert_eq!(base_stats, second.stats(), "{ctx}: statistics");
             assert_eq!(base.debug_log(), second.debug_log(), "{ctx}: debug log");
@@ -251,9 +245,9 @@ fn restored_trace_stream_is_the_suffix() {
 }
 
 #[test]
-fn injected_stores_are_mode_and_shard_invariant() {
+fn injected_stores_are_mode_invariant() {
     // Host-injected mailbox writes must wake consumers identically in
-    // every execution mode and shard count, and survive a snapshot taken
+    // both execution modes, and survive a snapshot taken
     // between injections.
     let src = r#"
         _start:
@@ -310,21 +304,18 @@ fn injected_stores_are_mode_and_shard_invariant() {
         Machine::with_decoded(base_cfg, decoded.clone()).expect("loads"),
         false,
     );
-    for (mode, shards) in COMBOS {
-        let cfg = configured(base_cfg, mode, shards);
+    for mode in MODES {
+        let cfg = configured(base_cfg, mode);
         let same = drive(
             Machine::with_decoded(cfg, decoded.clone()).expect("loads"),
             false,
         );
-        assert_eq!(reference, same, "{mode:?}/{shards}: injected run");
+        assert_eq!(reference, same, "{mode:?}: injected run");
         let snapped = drive(
             Machine::with_decoded(cfg, decoded.clone()).expect("loads"),
             true,
         );
-        assert_eq!(
-            reference, snapped,
-            "{mode:?}/{shards}: snapshot mid-injection"
-        );
+        assert_eq!(reference, snapped, "{mode:?}: snapshot mid-injection");
     }
 }
 
@@ -401,18 +392,15 @@ fn restore_rejects_stale_program_image() {
     // Same geometry and architecture, different program.
     let other = Assembler::new().assemble(MWAIT_MAILBOX).expect("assembles");
     let other = Machine::decode(&other).expect("decodes");
-    for (mode, shards) in COMBOS {
+    for mode in MODES {
         let mut target =
-            Machine::with_decoded(configured(cfg, mode, shards), other.clone()).expect("loads");
+            Machine::with_decoded(configured(cfg, mode), other.clone()).expect("loads");
         let err = target.restore(&bytes).expect_err("stale image");
         assert!(
             matches!(err, SimError::BadSnapshot { .. }),
-            "{mode:?}/{shards}: typed error, got {err:?}"
+            "{mode:?}: typed error, got {err:?}"
         );
-        assert!(
-            err.to_string().contains("program image"),
-            "{mode:?}/{shards}: {err}"
-        );
+        assert!(err.to_string().contains("program image"), "{mode:?}: {err}");
     }
 }
 
@@ -428,7 +416,6 @@ fn restore_reuses_cached_translation() {
     let cfg = configured(
         SimConfig::small(4, SyncArch::Colibri { queues: 2 }),
         ExecMode::Fast,
-        1,
     );
 
     let mut first = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
@@ -451,7 +438,7 @@ fn restore_reuses_cached_translation() {
 
     // A reference machine carries no translation at all.
     let reference =
-        Machine::with_decoded(configured(cfg, ExecMode::Reference, 1), decoded).expect("loads");
+        Machine::with_decoded(configured(cfg, ExecMode::Reference), decoded).expect("loads");
     assert!(reference.translation().is_none());
 }
 
@@ -538,7 +525,7 @@ fn backoff_countdowns_match_reference_at_every_stop() {
     let cores = 64;
     let base_cfg = SimConfig::small(cores, SyncArch::Lrsc);
 
-    let (mut whole, whole_sink) = traced(configured(base_cfg, ExecMode::Reference, 1), &decoded);
+    let (mut whole, whole_sink) = traced(configured(base_cfg, ExecMode::Reference), &decoded);
     let whole_summary = whole.run().expect("uninterrupted reference run");
     assert_eq!(whole_summary.exit, ExitReason::AllHalted);
     let whole_stats = whole.stats();
@@ -560,16 +547,11 @@ fn backoff_countdowns_match_reference_at_every_stop() {
         );
     }
 
-    // Per stop: (statistics, snapshot bytes), from the first combination.
+    // Per stop: (statistics, snapshot bytes), from the first mode.
     let mut expected: Vec<(lrscwait_sim::SimStats, Vec<u8>)> = Vec::new();
-    for (mode, shards) in [
-        (ExecMode::Reference, 1),
-        (ExecMode::Fast, 1),
-        (ExecMode::Fast, 2),
-        (ExecMode::Reference, 2),
-    ] {
-        let cfg = configured(base_cfg, mode, shards);
-        let ctx = format!("{mode:?}/{shards}");
+    for mode in [ExecMode::Reference, ExecMode::Fast] {
+        let cfg = configured(base_cfg, mode);
+        let ctx = format!("{mode:?}");
         let (mut m, mut sink) = traced(cfg, &decoded);
         let mut seen = 1; // the Start event
         let mut prev = 0;

@@ -1,7 +1,6 @@
 //! Machine-level tracing tests: the emitted event stream is complete,
 //! internally consistent, and — like every other observable — identical
-//! across the default fast mode and the reference stepper, at every
-//! shard count.
+//! across the default fast mode and the reference stepper.
 
 use lrscwait_asm::Assembler;
 use lrscwait_core::{SyncArch, SyncEvent};
@@ -27,13 +26,12 @@ const KERNEL: &str = r#"
     counter: .word 0
 "#;
 
-fn record_run(arch: SyncArch, mode: ExecMode, shards: usize) -> (Vec<(u64, TraceEvent)>, u64) {
+fn record_run(arch: SyncArch, mode: ExecMode) -> (Vec<(u64, TraceEvent)>, u64) {
     let program = Assembler::new().assemble(KERNEL).expect("assembles");
     let cfg = SimConfig::builder()
         .cores(4)
         .arch(arch)
         .exec_mode(mode)
-        .shards(shards)
         .build()
         .expect("valid config");
     let mut machine = Machine::new(cfg, &program).expect("loads");
@@ -45,39 +43,24 @@ fn record_run(arch: SyncArch, mode: ExecMode, shards: usize) -> (Vec<(u64, Trace
 }
 
 #[test]
-fn trace_stream_is_identical_across_exec_modes_and_shards() {
-    // Events happen in stepped cycles only, and every (mode, shard count)
-    // combination is bit-identical in everything observable — so even the
-    // *trace streams* must match event-for-event, cycle-for-cycle:
-    // parallel phases buffer per shard and drain in shard order, which
-    // reproduces the single-sharded emission order exactly.
+fn trace_stream_is_identical_across_exec_modes() {
+    // Events happen in stepped cycles only, and both modes are
+    // bit-identical in everything observable — so even the *trace
+    // streams* must match event-for-event, cycle-for-cycle.
     for arch in [SyncArch::LrscWaitIdeal, SyncArch::Colibri { queues: 2 }] {
-        let (fast, fast_cycles) = record_run(arch, ExecMode::Fast, 1);
-        for (mode, shards) in [
-            (ExecMode::Reference, 1),
-            (ExecMode::Fast, 3),
-            (ExecMode::Reference, 2),
-        ] {
-            let (other, other_cycles) = record_run(arch, mode, shards);
-            assert_eq!(fast_cycles, other_cycles);
-            assert_eq!(
-                fast.len(),
-                other.len(),
-                "{arch}: event counts diverge ({mode:?}, {shards} shards)"
-            );
-            for (i, (f, r)) in fast.iter().zip(&other).enumerate() {
-                assert_eq!(
-                    f, r,
-                    "{arch}: event {i} diverges ({mode:?}, {shards} shards)"
-                );
-            }
+        let (fast, fast_cycles) = record_run(arch, ExecMode::Fast);
+        let (reference, reference_cycles) = record_run(arch, ExecMode::Reference);
+        assert_eq!(fast_cycles, reference_cycles);
+        assert_eq!(fast.len(), reference.len(), "{arch}: event counts diverge");
+        for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
+            assert_eq!(f, r, "{arch}: event {i} diverges");
         }
     }
 }
 
 #[test]
 fn stream_starts_with_geometry_and_balances_parks() {
-    let (events, _) = record_run(SyncArch::Colibri { queues: 2 }, ExecMode::Fast, 2);
+    let (events, _) = record_run(SyncArch::Colibri { queues: 2 }, ExecMode::Fast);
     assert!(
         matches!(
             events.first(),

@@ -1,6 +1,5 @@
 //! The phase profiler: monotonic scoped timers around the simulator's
-//! per-cycle sub-phases, plus the shard worker pool's utilization
-//! counters.
+//! per-cycle sub-phases.
 //!
 //! The design copies the `Tracer` discipline from `crates/trace`: the
 //! simulator holds a [`Profiler`] that is [`Profiler::Off`] by default,
@@ -17,46 +16,39 @@
 //! sampled cycles per second at simulator speed) while keeping the
 //! profiled run within a few percent of the unprofiled one.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::amdahl::AmdahlReport;
 use crate::metrics::MetricsRegistry;
 
 /// Number of distinct [`Phase`]s.
 pub const NUM_PHASES: usize = 9;
 
 /// One sub-phase of `Machine::step_cycle`, in execution order.
-///
-/// The two *parallelized* phases (bank service, core stepping) fan out
-/// across the shard worker pool; every other phase runs sequentially on
-/// the coordinator and is therefore an Amdahl term — see
-/// [`AmdahlReport`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum Phase {
-    /// Phase 1a: `Network::advance` on the request network (sequential).
+    /// Phase 1a: `Network::advance` on the request network.
     ReqNetAdvance,
-    /// Phase 1b: banks service delivered requests (parallelized).
+    /// Phase 1b: banks service delivered requests.
     BankService,
-    /// Cross-shard merges: draining per-shard trace buffers, merging
-    /// dirty-bank lists and the core phase's wake/dirty/error results
-    /// back into the coordinator's sorted lists (sequential).
+    /// Worklist merges after the bank service and core stepping phases:
+    /// newly dirty banks into the dirty-bank list, and the walk's
+    /// still-running cores and newly dirty cores into the runnable set,
+    /// the ready-time calendar and the dirty-core list. (The name
+    /// predates the single-threaded machine and is kept as a stable
+    /// metric key.)
     CrossShardMerge,
-    /// Phase 2: bank outboxes flush into the response network
-    /// (sequential).
+    /// Phase 2: bank outboxes flush into the response network.
     BankFlush,
-    /// Phase 3a: `Network::advance` on the response network (sequential).
+    /// Phase 3a: `Network::advance` on the response network.
     RespNetAdvance,
-    /// Phase 3b: response delivery to cores through their Qnodes
-    /// (sequential).
+    /// Phase 3b: response delivery to cores through their Qnodes.
     RespDelivery,
-    /// Phase 4: core stepping (parallelized).
+    /// Phase 4: core stepping.
     CoreStep,
-    /// Sequential sub-phase: barrier release accounting.
+    /// Sub-phase after stepping: barrier release accounting.
     BarrierRelease,
-    /// Phase 5: core outboxes flush into the request network
-    /// (sequential).
+    /// Phase 5: core outboxes flush into the request network.
     CoreFlush,
 }
 
@@ -96,7 +88,7 @@ impl Phase {
         match self {
             Phase::ReqNetAdvance => "Network::advance (request NoC)",
             Phase::BankService => "bank request service",
-            Phase::CrossShardMerge => "cross-shard merges",
+            Phase::CrossShardMerge => "runnable, calendar and dirty-list merges",
             Phase::BankFlush => "bank outbox flush",
             Phase::RespNetAdvance => "Network::advance (response NoC)",
             Phase::RespDelivery => "response delivery",
@@ -104,13 +96,6 @@ impl Phase {
             Phase::BarrierRelease => "barrier release",
             Phase::CoreFlush => "core outbox flush",
         }
-    }
-
-    /// Whether the phase fans out across the shard worker pool. The
-    /// sequential remainder is what Amdahl's law bounds speedup by.
-    #[must_use]
-    pub fn parallelized(self) -> bool {
-        matches!(self, Phase::BankService | Phase::CoreStep)
     }
 
     /// Looks a phase up by its [`Phase::name`].
@@ -272,11 +257,9 @@ impl Profiler {
         }
     }
 
-    /// Snapshots the accumulated profile (`None` when off). `shards` and
-    /// `workers` describe the machine's worker pool; a 1-shard machine
-    /// passes an empty worker list.
+    /// Snapshots the accumulated profile (`None` when off).
     #[must_use]
-    pub fn snapshot(&self, shards: usize, workers: Vec<WorkerUtil>) -> Option<PhaseProfile> {
+    pub fn snapshot(&self) -> Option<PhaseProfile> {
         match self {
             Profiler::Off => None,
             Profiler::On(core) => Some(PhaseProfile {
@@ -292,8 +275,6 @@ impl Profiler {
                         ns: core.phase_ns[phase as usize],
                     })
                     .collect(),
-                shards,
-                workers,
             }),
         }
     }
@@ -308,116 +289,8 @@ pub struct PhaseStat {
     pub ns: u64,
 }
 
-/// One shard worker's utilization snapshot (see [`PoolTelemetry`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorkerUtil {
-    /// Shard id the worker executes (1-based; shard 0 is the
-    /// coordinator, whose time the phase timers cover).
-    pub shard: usize,
-    /// Nanoseconds spent executing phase jobs.
-    pub busy_ns: u64,
-    /// Nanoseconds spent spinning on the epoch counter.
-    pub spin_ns: u64,
-    /// Nanoseconds spent parked on the condvar.
-    pub park_ns: u64,
-    /// Jobs executed.
-    pub jobs: u64,
-}
-
-impl WorkerUtil {
-    /// Fraction of observed time spent executing jobs (0 when nothing
-    /// was observed).
-    #[must_use]
-    pub fn busy_frac(&self) -> f64 {
-        let total = self.busy_ns + self.spin_ns + self.park_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / total as f64
-        }
-    }
-}
-
-/// Cache-line-padded per-worker counters. Each worker writes only its
-/// own line; the coordinator reads all of them when snapshotting.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct WorkerCounters {
-    busy_ns: AtomicU64,
-    spin_ns: AtomicU64,
-    park_ns: AtomicU64,
-    jobs: AtomicU64,
-}
-
-/// Shared utilization counters for a shard worker pool: busy / spin /
-/// parked nanoseconds per worker, disabled (one relaxed load per loop
-/// iteration, no clock reads) until the machine's profiler is enabled.
-#[derive(Debug)]
-pub struct PoolTelemetry {
-    enabled: AtomicBool,
-    workers: Box<[WorkerCounters]>,
-}
-
-impl PoolTelemetry {
-    /// Counters for `workers` pool workers (shards minus the
-    /// coordinator), all zero and disabled.
-    #[must_use]
-    pub fn new(workers: usize) -> PoolTelemetry {
-        PoolTelemetry {
-            enabled: AtomicBool::new(false),
-            workers: (0..workers).map(|_| WorkerCounters::default()).collect(),
-        }
-    }
-
-    /// Starts measuring (idempotent; never turned back off so counters
-    /// stay monotonic for the run).
-    pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Release);
-    }
-
-    /// Whether workers should time themselves. Relaxed: a worker picking
-    /// the change up one dispatch late only shortens the observation
-    /// window.
-    #[inline]
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Credits one dispatch wait: `spin_ns` before parking, `park_ns` on
-    /// the condvar.
-    pub fn record_wait(&self, worker: usize, spin_ns: u64, park_ns: u64) {
-        let w = &self.workers[worker];
-        w.spin_ns.fetch_add(spin_ns, Ordering::Relaxed);
-        w.park_ns.fetch_add(park_ns, Ordering::Relaxed);
-    }
-
-    /// Credits one executed job.
-    pub fn record_busy(&self, worker: usize, busy_ns: u64) {
-        let w = &self.workers[worker];
-        w.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-        w.jobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshots every worker's counters (shard ids start at 1).
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<WorkerUtil> {
-        self.workers
-            .iter()
-            .enumerate()
-            .map(|(i, w)| WorkerUtil {
-                shard: i + 1,
-                busy_ns: w.busy_ns.load(Ordering::Relaxed),
-                spin_ns: w.spin_ns.load(Ordering::Relaxed),
-                park_ns: w.park_ns.load(Ordering::Relaxed),
-                jobs: w.jobs.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-}
-
-/// A finished run's profile: sampled per-phase time, worker
-/// utilization, and the derived Amdahl report.
+/// A finished run's profile: sampled per-phase time and run-loop wall
+/// time.
 #[derive(Clone, Debug)]
 pub struct PhaseProfile {
     /// Wall-clock nanoseconds inside the simulator's run loop
@@ -435,10 +308,6 @@ pub struct PhaseProfile {
     pub sampled_ns: u64,
     /// Per-phase sampled nanoseconds, in execution order.
     pub phases: Vec<PhaseStat>,
-    /// Shard count of the measured machine.
-    pub shards: usize,
-    /// Worker-pool utilization (empty on a 1-shard machine).
-    pub workers: Vec<WorkerUtil>,
 }
 
 impl PhaseProfile {
@@ -454,14 +323,27 @@ impl PhaseProfile {
             .map_or(0.0, |s| s.ns as f64 / self.sampled_ns as f64)
     }
 
-    /// The Amdahl report derived from this profile.
+    /// Multi-line human-readable breakdown: every phase's share of
+    /// sampled step time, in execution order.
     #[must_use]
-    pub fn amdahl(&self) -> AmdahlReport {
-        AmdahlReport::from_profile(self)
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "Phase profile ({} sampled of {} stepped cycles):\n",
+            self.sampled_cycles, self.stepped_cycles
+        );
+        for stat in &self.phases {
+            out.push_str(&format!(
+                "    {:>5.1}%  {:<17} — {}\n",
+                self.share(stat.phase) * 100.0,
+                stat.phase.name(),
+                stat.phase.describe(),
+            ));
+        }
+        out
     }
 
     /// Folds another profile into this one (profile aggregation across a
-    /// sweep). Worker lists concatenate; `shards` keeps the maximum.
+    /// sweep).
     pub fn merge(&mut self, other: &PhaseProfile) {
         self.wall_ns += other.wall_ns;
         self.stepped_cycles += other.stepped_cycles;
@@ -471,17 +353,15 @@ impl PhaseProfile {
             debug_assert_eq!(mine.phase, theirs.phase);
             mine.ns += theirs.ns;
         }
-        self.shards = self.shards.max(other.shards);
-        self.workers.extend(other.workers.iter().copied());
     }
 
     /// Renders the profile as a deterministic-schema JSON object
-    /// (`lrscwait.profile.v1`): fixed key order, phases in execution
-    /// order, workers in shard order, Amdahl report included.
+    /// (`lrscwait.profile.v2`): fixed key order, phases in execution
+    /// order.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"lrscwait.profile.v1\",\n");
+        out.push_str("  \"schema\": \"lrscwait.profile.v2\",\n");
         push_kv(&mut out, 2, "wall_ns", &self.wall_ns.to_string(), true);
         push_kv(
             &mut out,
@@ -511,43 +391,23 @@ impl PhaseProfile {
             &self.sampled_ns.to_string(),
             true,
         );
-        push_kv(&mut out, 2, "shards", &self.shards.to_string(), true);
         out.push_str("  \"phases\": [\n");
         for (i, stat) in self.phases.iter().enumerate() {
             let sep = if i + 1 == self.phases.len() { "" } else { "," };
             out.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"parallel\": {}, \"ns\": {}, \"share\": {:.6}}}{sep}\n",
+                "    {{\"phase\": \"{}\", \"ns\": {}, \"share\": {:.6}}}{sep}\n",
                 stat.phase.name(),
-                stat.phase.parallelized(),
                 stat.ns,
                 self.share(stat.phase),
             ));
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"workers\": [\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            let sep = if i + 1 == self.workers.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"shard\": {}, \"busy_ns\": {}, \"spin_ns\": {}, \"park_ns\": {}, \
-                 \"jobs\": {}, \"busy_frac\": {:.6}}}{sep}\n",
-                w.shard,
-                w.busy_ns,
-                w.spin_ns,
-                w.park_ns,
-                w.jobs,
-                w.busy_frac(),
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"amdahl\": ");
-        out.push_str(&self.amdahl().to_json(2));
-        out.push_str("\n}\n");
+        out.push_str("  ]\n}\n");
         out
     }
 
     /// Exports the profile into a [`MetricsRegistry`] (counters for raw
-    /// nanoseconds and cycles, gauges for shares, a histogram of worker
-    /// busy fractions) for Prometheus text exposition.
+    /// nanoseconds and cycles, gauges for shares) for Prometheus text
+    /// exposition.
     #[must_use]
     pub fn registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
@@ -556,32 +416,11 @@ impl PhaseProfile {
         reg.counter("sim_sampled_cycles_total", self.sampled_cycles);
         reg.counter("sim_phase_sampled_ns_total", self.sampled_ns);
         reg.gauge("sim_profile_sample_every", f64::from(self.sample_every));
-        reg.gauge("sim_shards", self.shards as f64);
         for stat in &self.phases {
             let labels = &[("phase", stat.phase.name())];
             reg.counter_labeled("sim_phase_ns_total", labels, stat.ns);
             reg.gauge_labeled("sim_phase_share", labels, self.share(stat.phase));
         }
-        reg.declare_histogram(
-            "sim_worker_busy_frac",
-            &[0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0],
-        );
-        for w in &self.workers {
-            let shard = w.shard.to_string();
-            let labels = &[("shard", shard.as_str())];
-            reg.counter_labeled("sim_worker_busy_ns_total", labels, w.busy_ns);
-            reg.counter_labeled("sim_worker_spin_ns_total", labels, w.spin_ns);
-            reg.counter_labeled("sim_worker_park_ns_total", labels, w.park_ns);
-            reg.counter_labeled("sim_worker_jobs_total", labels, w.jobs);
-            reg.observe("sim_worker_busy_frac", w.busy_frac());
-        }
-        let amdahl = self.amdahl();
-        reg.gauge("sim_amdahl_sequential_fraction", amdahl.sequential_fraction);
-        reg.gauge_labeled(
-            "sim_amdahl_top_sequential_share",
-            &[("phase", amdahl.top_sequential_phase.name())],
-            amdahl.top_sequential_share,
-        );
         reg
     }
 }
@@ -607,18 +446,7 @@ mod tests {
             profiler.commit(&clock);
         }
         profiler.add_wall_ns(1_000_000);
-        profiler
-            .snapshot(
-                4,
-                vec![WorkerUtil {
-                    shard: 1,
-                    busy_ns: 75,
-                    spin_ns: 20,
-                    park_ns: 5,
-                    jobs: 8,
-                }],
-            )
-            .expect("profiler is on")
+        profiler.snapshot().expect("profiler is on")
     }
 
     #[test]
@@ -628,7 +456,7 @@ mod tests {
         assert!(!clock.is_armed());
         clock.lap(Phase::CoreStep);
         profiler.commit(&clock);
-        assert!(profiler.snapshot(1, Vec::new()).is_none());
+        assert!(profiler.snapshot().is_none());
     }
 
     #[test]
@@ -640,7 +468,7 @@ mod tests {
             armed += usize::from(clock.is_armed());
             profiler.commit(&clock);
         }
-        let profile = profiler.snapshot(1, Vec::new()).expect("on");
+        let profile = profiler.snapshot().expect("on");
         assert_eq!(profile.stepped_cycles, 8);
         assert_eq!(profile.sampled_cycles, 2);
         assert_eq!(armed, 2);
@@ -663,35 +491,27 @@ mod tests {
         let cycles = a.sampled_cycles + b.sampled_cycles;
         a.merge(&b);
         assert_eq!(a.sampled_cycles, cycles);
-        assert_eq!(a.workers.len(), 2);
-        assert_eq!(a.shards, 4);
-    }
-
-    #[test]
-    fn pool_telemetry_counts_per_worker() {
-        let pool = PoolTelemetry::new(2);
-        assert!(!pool.is_enabled());
-        pool.enable();
-        assert!(pool.is_enabled());
-        pool.record_busy(0, 100);
-        pool.record_busy(0, 50);
-        pool.record_wait(1, 10, 30);
-        let snap = pool.snapshot();
-        assert_eq!(snap[0].shard, 1);
-        assert_eq!(snap[0].busy_ns, 150);
-        assert_eq!(snap[0].jobs, 2);
-        assert_eq!(snap[1].spin_ns, 10);
-        assert_eq!(snap[1].park_ns, 30);
     }
 
     #[test]
     fn json_has_schema_and_all_phases() {
         let json = sample_profile().to_json();
-        assert!(json.contains("\"schema\": \"lrscwait.profile.v1\""));
+        assert!(json.contains("\"schema\": \"lrscwait.profile.v2\""));
         for phase in Phase::ALL {
             assert!(json.contains(phase.name()), "missing {}", phase.name());
         }
-        assert!(json.contains("\"amdahl\""));
+    }
+
+    #[test]
+    fn render_lists_every_phase() {
+        let rendered = sample_profile().render();
+        assert!(
+            rendered.contains("4 sampled of 4 stepped cycles"),
+            "{rendered}"
+        );
+        for phase in Phase::ALL {
+            assert!(rendered.contains(phase.describe()), "{rendered}");
+        }
     }
 
     #[test]

@@ -43,6 +43,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod arrival;
 mod harness;
 mod latency;

@@ -24,7 +24,7 @@
 //! | [`noc`] | Backpressured hierarchical interconnect |
 //! | [`sim`] | Cycle-accurate MemPool-like manycore simulator |
 //! | [`trace`] | Zero-overhead tracing: structured events, Perfetto export, handoff/occupancy analysis |
-//! | [`telemetry`] | Host-side observability: phase profiler, Amdahl report, worker metrics, heartbeat |
+//! | [`telemetry`] | Host-side observability: phase profiler, metrics export, heartbeat |
 //! | [`chaos`] | Seeded fault injection and the trace-stream invariant checker |
 //! | [`kernels`] | The paper's benchmarks as real assembly, behind the `Workload` trait |
 //! | [`traffic`] | Open-loop arrival processes and the service harness for tail-latency studies |
@@ -94,6 +94,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use lrscwait_asm as asm;
 pub use lrscwait_chaos as chaos;
